@@ -57,7 +57,7 @@ _FLEET_JOBS = 4
 
 def _run_schedule(program, store_dir, jobs, schedule=_SCHEDULE):
     engine = MeasureEngine()
-    store = open_store(store_dir, backend="json")
+    store = open_store(store_dir)
     started = time.perf_counter()
     report = run_distributed_schedule(
         program.name,

@@ -204,7 +204,7 @@ def execute_shards(
     strategy = program.strategy
     if params["strategy"] is not None:
         strategy = Strategy[params["strategy"]]
-    store = open_store(params["store_dir"], backend=params["store_backend"])
+    store = open_store(params["store_dir"])
     master = params["frontier"]
     depth = int(params["depth"])
     count = int(params["shards"])
@@ -595,7 +595,6 @@ def _deepen(
                 "max_paths": max_paths,
                 "strategy": strategy.name,
                 "store_dir": str(store.directory),
-                "store_backend": store.backend_name,
             },
             # Long shards first: slot i starts at shard i, and shards are
             # ordered by frontier position, so the hint just spreads slots.

@@ -8,11 +8,12 @@ runner and the persistent store consult at well-defined hook points:
   segfault took it down mid-batch;
 * ``hang``            -- the worker running job *N* sleeps for ``seconds``
   before executing it, tripping the runner's per-job wall-clock timeout;
-* ``torn-write``      -- a store file whose name contains ``match`` is
-  truncated to half its length right after being written, simulating a
-  write that a crash (or a lying disk) tore mid-flight;
-* ``bit-flip``        -- one seeded-random bit of a store file whose name
-  contains ``match`` is inverted after the write, simulating silent media
+* ``torn-write``      -- a store row whose name (``"<kind>/<key>"``, e.g.
+  ``"measures/<key>"`` or ``"jobs/<key>"``) contains ``match`` has its
+  document truncated to half its length right after being committed,
+  simulating a write that a crash (or a lying disk) tore mid-flight;
+* ``bit-flip``        -- one seeded-random bit of one character of such a
+  row's document is inverted after the commit, simulating silent media
   corruption that only a checksum can catch.
 
 Every fault fires a bounded number of ``times`` (default once) and the
@@ -62,7 +63,8 @@ class Fault:
     """For job faults: the submission index of the job to sabotage."""
 
     match: str = ""
-    """For store faults: fire on files whose name contains this substring."""
+    """For store faults: fire on rows whose ``"<kind>/<key>"`` name
+    contains this substring."""
 
     seconds: float = 3600.0
     """For ``hang``: how long the worker sleeps before running the job."""
@@ -187,42 +189,34 @@ class FaultPlan:
                 os._exit(_KILL_EXIT_CODE)
             time.sleep(fault.seconds)
 
-    def on_store_write(self, path: Path) -> None:
-        """Called by the store right after atomically writing ``path``."""
+    def on_store_write(self, name: str, document: str) -> str:
+        """Called by the store right after committing the row ``name``
+        (``"<kind>/<key>"``); returns its document, damaged if a store fault
+        fires."""
         for fault_id, fault in enumerate(self.faults):
             if fault.kind not in _STORE_FAULTS:
                 continue
-            if fault.match and fault.match not in path.name:
+            if fault.match and fault.match not in name:
                 continue
             if not self._claim(fault_id, fault.times):
                 continue
             if fault.kind == "torn-write":
-                _tear_file(path)
+                document = document[: len(document) // 2]
             else:
-                _flip_bit(path, random.Random(self.seed * 1000003 + fault_id))
+                document = _flip_bit(
+                    document, random.Random(self.seed * 1000003 + fault_id)
+                )
+        return document
 
 
-def _tear_file(path: Path) -> None:
-    """Truncate ``path`` to half its length (a crash-torn write)."""
-    try:
-        size = path.stat().st_size
-        with open(path, "r+b") as stream:
-            stream.truncate(size // 2)
-    except OSError:
-        pass
-
-
-def _flip_bit(path: Path, rng: random.Random) -> None:
-    """Invert one seeded-random bit of ``path`` (silent media corruption)."""
-    try:
-        data = bytearray(path.read_bytes())
-        if not data:
-            return
-        position = rng.randrange(len(data))
-        data[position] ^= 1 << rng.randrange(8)
-        path.write_bytes(bytes(data))
-    except OSError:
-        pass
+def _flip_bit(document: str, rng: random.Random) -> str:
+    """Invert one seeded-random low bit of one character of ``document``
+    (silent media corruption; an ASCII character stays ASCII)."""
+    if not document:
+        return document
+    position = rng.randrange(len(document))
+    flipped = chr(ord(document[position]) ^ (1 << rng.randrange(7)))
+    return document[:position] + flipped + document[position + 1 :]
 
 
 # -- activation ----------------------------------------------------------------

@@ -73,7 +73,6 @@ _DEFAULT_PARAMS: Dict[str, Dict[str, Any]] = {
         "max_paths": 100_000,
         "strategy": None,
         "store_dir": None,
-        "store_backend": "auto",
     },
     "verify": {"max_steps": 5_000},
     "classify": {"max_steps": 2_000},
@@ -245,7 +244,7 @@ class JobResult:
         return json.dumps(self.deterministic_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_cache_dict(self) -> Dict[str, Any]:
-        """The full record persisted by :class:`repro.batch.cache.BatchCache`."""
+        """The full record persisted by :class:`repro.batch.store_sqlite.SqliteStore`."""
         record = self.deterministic_dict()
         record["elapsed_ms"] = self.elapsed_ms
         record["stats"] = self.stats

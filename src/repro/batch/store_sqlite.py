@@ -1,46 +1,43 @@
-"""The SQLite store backend: one WAL database instead of sharded JSON.
+"""The persistent store behind ``--cache-dir``: one WAL SQLite database.
 
-:class:`SqliteStore` is a drop-in replacement for
-:class:`repro.batch.cache.BatchCache` -- same methods, same envelope
-semantics, same quarantine policy -- backed by a single
-``<cache-dir>/store.sqlite3`` database in WAL mode:
+Everything lives in ``<cache-dir>/store.sqlite3``: finished job results,
+the measure, sweep and exploration-frontier entries of the measure engine,
+the monotone run counter driving the GC, and a quarantine of damaged rows.
+The store is a cache -- it saves recomputation and never changes a result
+-- so every read is non-fatal: a damaged or incompatible row reads as a
+miss.
 
 * **concurrent readers, single writer** -- WAL readers never block on the
   writer and vice versa; writes go through short ``BEGIN IMMEDIATE``
-  transactions serialized by SQLite itself (with a busy timeout), replacing
-  the JSON store's ``fcntl`` shard locks;
-* **indexed lookups** -- job results and measure/sweep entries are fetched
-  by primary key instead of read-modify-writing a whole shard document;
-* **incremental GC** -- every entry row carries its touch stamp in an
+  transactions serialized by SQLite itself (with a busy timeout);
+* **indexed lookups** -- job results and entries are fetched by primary key;
+* **incremental GC** -- every entry row carries its touch stamp (the run
+  counter when it was last written or served as a persistent hit) in an
   indexed column, so :meth:`SqliteStore.prune` is one indexed ``DELETE``
-  instead of ``batch prune``'s full parse of every shard;
-* **no merge intents** -- a multi-entry merge is a transaction; a process
-  killed mid-merge rolls back to a consistent state, so there is nothing to
-  journal and nothing to replay (:meth:`SqliteStore.pending_intents` is
-  always empty).
+  per kind;
+* **transactional merges** -- a process killed mid-merge rolls back to a
+  consistent state.
 
-Every row still holds the *same checksummed envelope* the JSON store writes
-to files (:func:`repro.batch.cache.seal_document`): the database's own page
-checksums do not cover application-level corruption, and keeping one
-envelope format is what lets ``repro store migrate`` carry documents over
-verbatim and lets ``repro doctor`` verify either backend with one code
-path.  A row that fails verification is moved into the ``quarantine``
-table -- visible to the doctor, never silently dropped -- and reads as a
-miss, exactly like a quarantined shard file.
+Every row holds a versioned *envelope*: the document carries a format
+version plus a ``sha256`` checksum over its canonical payload
+(:func:`seal_document` / :func:`verify_payload`), because the database's own
+page checksums do not cover application-level corruption.  A row that fails
+verification is moved into the ``quarantine`` table -- visible to
+``repro doctor``, never silently dropped -- and reads as a miss.
 
-Unlike the JSON store's shard documents -- where a merge under one registry
-fingerprint clobbers a shard written under another -- entry rows are keyed
-``(kind, fingerprint, key)``, so stores written under different primitive
-semantics coexist side by side.
+Entry rows are keyed ``(kind, fingerprint, key)``, where the fingerprint is
+the measure engine's primitive-registry fingerprint, so stores written under
+different primitive semantics coexist side by side.
 
-:func:`open_store` is the backend chooser shared by the CLI, the batch
-runner and the daemon: ``"auto"`` picks SQLite when ``store.sqlite3``
-exists and the JSON layout otherwise, so migrated directories keep working
-with every command unchanged.
+A directory left behind by the sharded-JSON layout of earlier versions
+(``measures-*.json``, ``jobs/``, ``meta.json``, ...) is not read: its
+entries are misses, the first run recomputes them into the database, and
+``repro doctor`` names the leftover files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import sqlite3
@@ -50,97 +47,190 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import repro.telemetry as telemetry
-from repro.batch.cache import (
-    BatchCache,
-    PruneReport,
-    seal_document,
-    verify_document,
-    verify_payload,
-)
+from repro.batch.faults import active_plan
 from repro.batch.jobs import JobResult
 from repro.geometry.engine import MeasureEngine
+
+CACHE_VERSION = 2
+"""The checksummed-envelope format of every row's document."""
 
 STORE_SCHEMA_VERSION = 1
 """The SQLite schema generation (``meta.store_version``)."""
 
 DB_FILENAME = "store.sqlite3"
-"""The database file inside a cache directory; its presence is what makes
-``open_store(..., backend="auto")`` pick this backend."""
+"""The database file inside a cache directory."""
 
 _BUSY_TIMEOUT_MS = 30_000
 
 _ENTRY_KINDS = ("measures", "sweeps", "frontiers")
 
+_FRONTIER_INDEX = 6  # a sweep entry's optional persisted-frontier blob
+_FRONTIER_BOXES_INDEX = 5  # the box list inside that blob
+
 _LOGGER = logging.getLogger("repro.batch")
 
 __all__ = [
+    "CACHE_VERSION",
     "DB_FILENAME",
-    "MigrationReport",
+    "PruneReport",
     "STORE_SCHEMA_VERSION",
     "SqliteStore",
-    "migrate_store",
     "open_store",
+    "seal_document",
     "sqlite_store_path",
+    "verify_payload",
 ]
+
+
+def _canonical(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _document_checksum(document: dict) -> str:
+    """SHA-256 over the canonical JSON of everything except ``sha256``."""
+    payload = {key: value for key, value in document.items() if key != "sha256"}
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+
+
+def seal_document(document: dict) -> dict:
+    """Stamp ``document`` with the current version and its payload checksum."""
+    sealed = dict(document)
+    sealed["version"] = CACHE_VERSION
+    sealed.pop("sha256", None)
+    sealed["sha256"] = _document_checksum(sealed)
+    return sealed
+
+
+def verify_payload(document) -> Tuple[str, Optional[dict]]:
+    """Verify one parsed envelope, without side effects.
+
+    Returns ``(status, document)`` where ``status`` is ``"ok"`` (current
+    version, checksum verified), ``"unknown-version"`` (left in place: a
+    newer tool may own it), or one of the *damaged* statuses
+    ``"not-object"``, ``"missing-checksum"`` and ``"checksum-mismatch"``;
+    the document is ``None`` unless the status is ``"ok"``.
+    """
+    if not isinstance(document, dict):
+        return "not-object", None
+    if document.get("version") != CACHE_VERSION:
+        return "unknown-version", None
+    recorded = document.get("sha256")
+    if not isinstance(recorded, str):
+        return "missing-checksum", None
+    if recorded != _document_checksum(document):
+        return "checksum-mismatch", None
+    return "ok", document
+
+
+def _parse_row(text: str) -> Tuple[str, Optional[dict]]:
+    """Parse and verify one row's envelope (``"corrupt-json"`` if torn)."""
+    try:
+        document = json.loads(text)
+    except ValueError:
+        return "corrupt-json", None
+    return verify_payload(document)
+
+
+def _decode_job(key: str, document: dict) -> Tuple[str, Optional[JobResult]]:
+    """The job result a verified ``jobs`` row holds, or why it holds none."""
+    try:
+        result = JobResult.from_cache_dict(document.get("result"))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return "undecodable-result", None
+    if result.key != key:
+        return "key-mismatch", None
+    return "ok", result
+
+
+def _row_filter(origin: str, fingerprint: str, key: str) -> Tuple[str, str, tuple]:
+    """``(table, WHERE clause, parameters)`` selecting one row."""
+    if origin == "jobs":
+        return "jobs", "key = ?", (key,)
+    return (
+        "entries",
+        "kind = ? AND fingerprint = ? AND key = ?",
+        (origin, fingerprint, key),
+    )
 
 
 def sqlite_store_path(directory: Union[str, Path]) -> Path:
     return Path(directory) / DB_FILENAME
 
 
-def open_store(
-    directory: Union[str, Path], backend: str = "auto"
-) -> Union[BatchCache, "SqliteStore"]:
-    """Open the persistent store of ``directory`` under the right backend.
+def open_store(directory: Union[str, Path], backend: str = "sqlite") -> "SqliteStore":
+    """Open (creating if needed) the persistent store of ``directory``.
 
-    ``"json"`` and ``"sqlite"`` force a backend; ``"auto"`` (the default
-    everywhere) picks SQLite exactly when the database file already exists,
-    so a fresh directory keeps the JSON layout and a migrated one is served
-    from the database by every command without further flags.
+    ``backend`` accepts only ``"sqlite"``, the one store there is.
     """
-    if backend == "json":
-        return BatchCache(directory)
-    if backend == "sqlite":
-        return SqliteStore(directory)
-    if backend == "auto":
-        if sqlite_store_path(directory).exists():
-            return SqliteStore(directory)
-        return BatchCache(directory)
-    raise ValueError(
-        f"unknown store backend {backend!r}; expected 'auto', 'json' or 'sqlite'"
-    )
+    if backend != "sqlite":
+        raise ValueError(f"unknown store backend {backend!r}; expected 'sqlite'")
+    return SqliteStore(directory)
+
+
+@dataclass
+class PruneReport:
+    """What one :meth:`SqliteStore.prune` pass removed (and kept)."""
+
+    run_counter: int
+    min_age_runs: int
+    pruned: Dict[str, int] = field(default_factory=dict)
+    kept: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def pruned_total(self) -> int:
+        return sum(self.pruned.values())
+
+    @property
+    def kept_total(self) -> int:
+        return sum(self.kept.values())
+
+    def summary(self) -> str:
+        lines = [
+            f"run counter      : {self.run_counter}",
+            f"stale after      : {self.min_age_runs} runs untouched",
+        ]
+        for kind in _ENTRY_KINDS:
+            lines.append(
+                f"{kind:<17s}: pruned {self.pruned.get(kind, 0)}, "
+                f"kept {self.kept.get(kind, 0)}"
+            )
+        return "\n".join(lines)
 
 
 class SqliteStore:
-    """A persistent job/measure/sweep store in one WAL SQLite database.
+    """A persistent job/measure/sweep/frontier store in one WAL database.
 
-    Method-compatible with :class:`repro.batch.cache.BatchCache`; see the
-    module docstring for what changes underneath.
+    ``readonly=True`` opens an existing database without writing to it (the
+    doctor's view): no schema set-up, and quarantining reads fail quietly.
     """
 
-    backend_name = "sqlite"
-    """How ``open_store(..., backend=...)`` names this layout (workers of a
-    distributed deepening reopen the supervisor's store by this name)."""
-
-    def __init__(self, directory: Union[str, Path]) -> None:
+    def __init__(self, directory: Union[str, Path], readonly: bool = False) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.path = sqlite_store_path(self.directory)
         self.quarantined: List[Tuple[str, str]] = []
-        """``(origin key, reason)`` for every row this instance quarantined."""
+        """``(origin/key, reason)`` for every row this instance quarantined."""
 
         # One connection per store instance.  The daemon touches the store
         # from its single engine thread, the batch runner from the
         # supervisor thread -- but ``check_same_thread=False`` plus our own
         # write lock keeps the instance safe either way.
+        if readonly:
+            database = f"{self.path.resolve().as_uri()}?mode=ro"
+        else:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            database = str(self.path)
         self._connection = sqlite3.connect(
-            str(self.path), timeout=_BUSY_TIMEOUT_MS / 1000, check_same_thread=False
+            database,
+            uri=readonly,
+            timeout=_BUSY_TIMEOUT_MS / 1000,
+            check_same_thread=False,
         )
         self._write_lock = threading.Lock()
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute("PRAGMA synchronous=NORMAL")
         self._connection.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-        self._initialize_schema()
+        if not readonly:
+            self._connection.execute("PRAGMA journal_mode=WAL")
+            self._connection.execute("PRAGMA synchronous=NORMAL")
+            self._initialize_schema()
 
     # -- schema ---------------------------------------------------------------
 
@@ -176,8 +266,17 @@ class SqliteStore:
                 " origin TEXT NOT NULL,"
                 " key TEXT NOT NULL,"
                 " document TEXT NOT NULL,"
-                " reason TEXT NOT NULL)"
+                " reason TEXT NOT NULL,"
+                " fingerprint TEXT NOT NULL DEFAULT '')"
             )
+            columns = {
+                row[1] for row in connection.execute("PRAGMA table_info(quarantine)")
+            }
+            if "fingerprint" not in columns:  # a database from before the column
+                connection.execute(
+                    "ALTER TABLE quarantine"
+                    " ADD COLUMN fingerprint TEXT NOT NULL DEFAULT ''"
+                )
             connection.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                 ("store_version", str(STORE_SCHEMA_VERSION)),
@@ -197,49 +296,54 @@ class SqliteStore:
         return len(self.quarantined)
 
     def _quarantine_row(
-        self, origin: str, key: str, document_text: str, reason: str
+        self, origin: str, fingerprint: str, key: str, document_text: str, reason: str
     ) -> None:
-        """Move a damaged row into the quarantine table -- never delete
-        silently, never fail the read.  Mirrors the JSON store's policy of
-        quarantining damaged files with a ``.reason`` sidecar."""
+        """Move one damaged row into the quarantine table -- never delete
+        silently, never fail the read.  Only the ``(origin, fingerprint,
+        key)`` row moves: the same key under another fingerprint is a
+        different, healthy row."""
+        table, where, parameters = _row_filter(origin, fingerprint, key)
         try:
             with self._transaction() as connection:
                 connection.execute(
-                    "INSERT INTO quarantine (origin, key, document, reason)"
-                    " VALUES (?, ?, ?, ?)",
-                    (origin, key, document_text, reason),
+                    "INSERT INTO quarantine"
+                    " (origin, fingerprint, key, document, reason)"
+                    " VALUES (?, ?, ?, ?, ?)",
+                    (origin, fingerprint, key, document_text, reason),
                 )
-                if origin == "jobs":
-                    connection.execute("DELETE FROM jobs WHERE key = ?", (key,))
-                else:
-                    connection.execute(
-                        "DELETE FROM entries WHERE kind = ? AND key = ?",
-                        (origin, key),
-                    )
+                connection.execute(f"DELETE FROM {table} WHERE {where}", parameters)
         except sqlite3.Error:
             return  # a read-only database still reads damage as a miss
         self.quarantined.append((f"{origin}/{key}", reason))
         telemetry.emit("quarantine", path=f"{origin}/{key}", reason=reason)
         _LOGGER.warning("quarantined damaged store row %s/%s (%s)", origin, key, reason)
 
-    def _verify_row(self, origin: str, key: str, text: str) -> Optional[dict]:
-        """Parse and verify one row's envelope; damaged rows are quarantined.
+    def _verify_row(
+        self, origin: str, fingerprint: str, key: str, text: str
+    ) -> Optional[dict]:
+        """One row's verified envelope; damaged rows are quarantined.
 
-        Unknown (future) versions read as misses but stay in place, exactly
-        like the file backend's policy.
+        Unknown (future) versions read as misses but stay in place.
         """
-        try:
-            document = json.loads(text)
-        except ValueError:
-            self._quarantine_row(origin, key, text, "corrupt-json")
-            return None
-        status, verified = verify_payload(document)
-        if status in ("ok", "legacy"):
-            return verified
-        if status == "unknown-version":
-            return None
-        self._quarantine_row(origin, key, text, status)
+        status, document = _parse_row(text)
+        if status == "ok":
+            return document
+        if status != "unknown-version":
+            self._quarantine_row(origin, fingerprint, key, text, status)
         return None
+
+    def _inject_faults(self, plan, origin: str, fingerprint: str, rows) -> None:
+        """Let an armed fault plan corrupt the ``(key, text)`` rows just
+        committed (a torn write or a flipped bit, as on a lying disk)."""
+        for key, text in rows:
+            damaged = plan.on_store_write(f"{origin}/{key}", text)
+            if damaged != text:
+                table, where, parameters = _row_filter(origin, fingerprint, key)
+                with self._transaction() as connection:
+                    connection.execute(
+                        f"UPDATE {table} SET document = ? WHERE {where}",
+                        (damaged, *parameters),
+                    )
 
     def quarantine_rows(self) -> List[Tuple[str, str, str]]:
         """Every quarantined row: ``(origin, key, reason)`` (doctor feed)."""
@@ -263,17 +367,14 @@ class SqliteStore:
         ).fetchone()
         if row is None:
             return None
-        document = self._verify_row("jobs", key, row[0])
+        document = self._verify_row("jobs", "", key, row[0])
         if document is None:
             return None
-        record = document.get("result")
-        try:
-            result = JobResult.from_cache_dict(record)
-        except (TypeError, KeyError, ValueError):
+        status, result = _decode_job(key, document)
+        if result is None:
+            self._quarantine_row("jobs", "", key, row[0], status)
             return None
-        if result.key != key or not result.ok:
-            return None
-        return result
+        return result if result.ok else None
 
     def store_job(self, result: JobResult) -> None:
         """Persist a finished job (error results are recomputed, not cached)."""
@@ -285,6 +386,9 @@ class SqliteStore:
                 "INSERT OR REPLACE INTO jobs (key, document) VALUES (?, ?)",
                 (result.key, document),
             )
+        plan = active_plan()
+        if plan is not None:
+            self._inject_faults(plan, "jobs", "", [(result.key, document)])
 
     def job_count(self) -> int:
         return self._connection.execute("SELECT COUNT(*) FROM jobs").fetchone()[0]
@@ -305,8 +409,12 @@ class SqliteStore:
         return counter if counter >= 0 else 0
 
     def begin_run(self) -> int:
-        """Bump and return the run counter (the GC clock, as in the JSON
-        store) -- atomically, under the write transaction."""
+        """Bump and return the run counter (one tick per working batch run).
+
+        The counter is the GC clock: entries written or hit during run ``N``
+        are stamped ``N`` and survive a later ``prune(min_age_runs=K)`` as
+        long as the counter has not advanced past ``N + K - 1``.
+        """
         with self._transaction() as connection:
             counter = self.run_counter() + 1
             connection.execute(
@@ -315,45 +423,29 @@ class SqliteStore:
             )
             return counter
 
-    # -- measure- and sweep-engine entries -------------------------------------
+    # -- measure-, sweep- and frontier entries ---------------------------------
 
     def _load_kind(self, kind: str, fingerprint: str) -> Dict[str, List]:
         entries: Dict[str, List] = {}
-        damaged: List[Tuple[str, str]] = []
-        cursor = self._connection.execute(
+        rows = self._connection.execute(
             "SELECT key, document FROM entries WHERE kind = ? AND fingerprint = ?",
             (kind, fingerprint),
-        )
-        for key, text in cursor.fetchall():
-            document = self._verify_row_deferred(kind, key, text, damaged)
+        ).fetchall()
+        for key, text in rows:
+            document = self._verify_row(kind, fingerprint, key, text)
             if document is None:
                 continue
             entry = document.get("entry")
             if isinstance(entry, list):
                 entries[key] = entry
-        for key, text in damaged:
-            # Quarantined after the read loop: mutating mid-cursor is unsafe.
-            self._verify_row(kind, key, text)
         return entries
 
-    def _verify_row_deferred(
-        self, origin: str, key: str, text: str, damaged: List[Tuple[str, str]]
-    ) -> Optional[dict]:
-        try:
-            document = json.loads(text)
-        except ValueError:
-            damaged.append((key, text))
-            return None
-        status, verified = verify_payload(document)
-        if status in ("ok", "legacy"):
-            return verified
-        if status == "unknown-version":
-            return None
-        damaged.append((key, text))
-        return None
-
     def load_measures(self, engine: MeasureEngine) -> Dict[str, List]:
-        """The stored measure entries compatible with ``engine``."""
+        """The stored measure entries compatible with ``engine``.
+
+        Entries recorded under a different primitive-registry fingerprint
+        read as misses; damaged rows are quarantined and read as misses.
+        """
         return self._load_kind("measures", engine.registry_fingerprint())
 
     def load_sweeps(self, engine: MeasureEngine) -> Dict[str, List]:
@@ -361,21 +453,25 @@ class SqliteStore:
         return self._load_kind("sweeps", engine.registry_fingerprint())
 
     def load_frontiers(self, engine: MeasureEngine) -> Dict[str, List]:
-        """The stored exploration-frontier entries compatible with ``engine``."""
+        """The stored exploration-frontier entries compatible with ``engine``.
+
+        Values are the encoded frontier documents written by the distributed
+        deepening scheduler (see :mod:`repro.batch.distribute`); they are
+        fingerprinted like sweep entries, since the symbolic steps a
+        frontier froze depend on primitive semantics.
+        """
         return self._load_kind("frontiers", engine.registry_fingerprint())
 
     def measure_entry_count(self, engine: MeasureEngine) -> int:
         return self._count_kind("measures", engine.registry_fingerprint())
 
-    def sweep_entry_count(self, engine: MeasureEngine) -> int:
-        return self._count_kind("sweeps", engine.registry_fingerprint())
-
     def load_frontier_entry(self, engine: MeasureEngine, key: str):
         """One frontier entry by key (one indexed row read, not a kind scan).
 
-        Same contract as :meth:`BatchCache.load_frontier_entry`: the
-        work-stealing scan polls shard keys far too often to parse every
-        frontier entry -- master encodings included -- per poll.
+        The distributed-deepening hot path: workers poll individual shard
+        artifacts (``<master>:<depth>:<i>:in|out``) on every scan, far too
+        often to parse every frontier entry -- master encodings included --
+        per poll.  Returns ``None`` for a missing (or incompatible) key.
         """
         fingerprint = engine.registry_fingerprint()
         row = self._connection.execute(
@@ -385,7 +481,7 @@ class SqliteStore:
         ).fetchone()
         if row is None:
             return None
-        document = self._verify_row("frontiers", key, row[0])
+        document = self._verify_row("frontiers", fingerprint, key, row[0])
         if document is None:
             return None
         entry = document.get("entry")
@@ -407,7 +503,13 @@ class SqliteStore:
         run: Optional[int] = None,
         touched_keys: Iterable[str] = (),
     ) -> int:
-        """Fold ``new_entries`` into the measure store (one transaction)."""
+        """Fold ``new_entries`` into the measure store (one transaction).
+
+        ``run`` (default: the current run counter) stamps the written
+        entries for the GC; ``touched_keys`` are existing entries this run
+        answered from the store, whose stamps are refreshed in place.
+        Returns the number of entries written.
+        """
         return self._merge_kind("measures", engine, new_entries, run, touched_keys)
 
     def merge_sweeps(
@@ -449,29 +551,27 @@ class SqliteStore:
         fingerprint = engine.registry_fingerprint()
         if run is None:
             run = self.run_counter()
+        rows = [
+            (key, _canonical(seal_document({"entry": list(entry)})))
+            for key, entry in sorted(new_entries.items())
+        ]
         with self._transaction() as connection:
             connection.executemany(
                 "INSERT OR REPLACE INTO entries"
                 " (kind, fingerprint, key, document, touched)"
                 " VALUES (?, ?, ?, ?, ?)",
-                (
-                    (
-                        kind,
-                        fingerprint,
-                        key,
-                        _canonical(seal_document({"entry": list(entry)})),
-                        run,
-                    )
-                    for key, entry in sorted(new_entries.items())
-                ),
+                ((kind, fingerprint, key, text, run) for key, text in rows),
             )
             # Refresh the GC stamps of entries this run answered from the
-            # store -- the "touch" half of the JSON store's merge.
+            # store.
             connection.executemany(
                 "UPDATE entries SET touched = ?"
                 " WHERE kind = ? AND fingerprint = ? AND key = ?",
                 ((run, kind, fingerprint, key) for key in sorted(touched_keys)),
             )
+        plan = active_plan()
+        if plan is not None:
+            self._inject_faults(plan, kind, fingerprint, rows)
         telemetry.emit(
             "store-merge",
             kind=kind,
@@ -480,62 +580,17 @@ class SqliteStore:
         )
         return len(new_entries)
 
-    def import_entries(
-        self,
-        kind: str,
-        fingerprint: str,
-        entries: Mapping[str, List],
-        touched: Mapping[str, int],
-    ) -> int:
-        """Bulk-load migrated entries, preserving their original touch
-        stamps (entries a migration resets to "fresh" would dodge the GC
-        for another full aging cycle)."""
-        if kind not in _ENTRY_KINDS:
-            raise ValueError(f"unknown entry kind {kind!r}")
-        with self._transaction() as connection:
-            connection.executemany(
-                "INSERT OR REPLACE INTO entries"
-                " (kind, fingerprint, key, document, touched)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (
-                    (
-                        kind,
-                        fingerprint,
-                        key,
-                        _canonical(seal_document({"entry": list(entry)})),
-                        int(touched.get(key, 0)),
-                    )
-                    for key, entry in sorted(entries.items())
-                ),
-            )
-        return len(entries)
-
-    def import_job_document(self, key: str, document: dict) -> None:
-        """Carry one verified job envelope over from the JSON store."""
-        with self._transaction() as connection:
-            connection.execute(
-                "INSERT OR REPLACE INTO jobs (key, document) VALUES (?, ?)",
-                (key, _canonical(seal_document(dict(document)))),
-            )
-
-    def set_run_counter(self, counter: int) -> None:
-        with self._transaction() as connection:
-            connection.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                ("run_counter", str(max(0, int(counter)))),
-            )
-
     # -- garbage collection ----------------------------------------------------
 
     def prune(self, min_age_runs: int) -> PruneReport:
         """Drop entries untouched for ``min_age_runs`` runs -- incrementally.
 
-        One indexed range ``DELETE`` per kind over ``(kind, touched)``: the
-        database never parses an entry document to age it, unlike the JSON
-        backend's full scan of every shard.  Same aging semantics and the
-        same :class:`~repro.batch.cache.PruneReport` shape as
-        :meth:`BatchCache.prune` (``removed_files`` is always 0: there are
-        no shard files to unlink).
+        An entry is stale when the run counter has advanced by at least
+        ``min_age_runs`` since the entry was last written or last served as
+        a persistent hit.  One indexed range ``DELETE`` per kind over
+        ``(kind, touched)``: no entry document is parsed to age it.  Job
+        results are content-addressed by program text and parameters and
+        are not aged here.
         """
         if min_age_runs < 1:
             raise ValueError("min_age_runs must be at least 1")
@@ -553,12 +608,6 @@ class SqliteStore:
                     "SELECT COUNT(*) FROM entries WHERE kind = ?", (kind,)
                 ).fetchone()[0]
         return report
-
-    # -- parity shims ----------------------------------------------------------
-
-    def pending_intents(self) -> List[Tuple[Path, bool]]:
-        """Always empty: merges are transactions, there is nothing to replay."""
-        return []
 
     # -- doctor feed -----------------------------------------------------------
 
@@ -582,41 +631,33 @@ class SqliteStore:
         except (TypeError, ValueError):
             return None
 
-    def scan_rows(self, stale_runs: int) -> "SqliteScan":
+    def scan_rows(self, stale_runs: int, fingerprint: str) -> "SqliteScan":
         """Read-only full verification pass for ``repro doctor``.
 
-        Unlike the cache's own reads this never quarantines -- the doctor
-        only *names* damage -- mirroring how the file backend's doctor reads
-        through :func:`verify_document` instead of the quarantining path.
+        Unlike the store's own reads this never quarantines -- the doctor
+        only *names* damage.  ``fingerprint`` is the reading engine's: rows
+        written under another one are counted as foreign.
         """
         scan = SqliteScan(run_counter=self.run_counter())
         for key, text in self._connection.execute("SELECT key, document FROM jobs"):
             scan.job_rows += 1
-            status = _row_status(text)
+            status, document = _parse_row(text)
             if status == "ok":
-                continue
-            if status == "legacy":
-                scan.legacy_rows += 1
-            elif status == "unknown-version":
-                scan.unknown_version_rows += 1
-            else:
-                scan.damaged.append(("jobs", key, status))
+                status, _result = _decode_job(key, document)
+            scan.note("jobs", key, status)
         cursor = self._connection.execute(
-            "SELECT kind, key, document, touched FROM entries"
+            "SELECT kind, fingerprint, key, document, touched FROM entries"
         )
-        for kind, key, text, touched in cursor:
+        for kind, row_fingerprint, key, text, touched in cursor:
             scan.entry_rows[kind] = scan.entry_rows.get(kind, 0) + 1
+            if row_fingerprint != fingerprint:
+                scan.foreign_rows[kind] = scan.foreign_rows.get(kind, 0) + 1
             if scan.run_counter - int(touched) >= stale_runs:
                 scan.stale_entries += 1
-            status = _row_status(text)
-            if status == "ok":
-                continue
-            if status == "legacy":
-                scan.legacy_rows += 1
-            elif status == "unknown-version":
-                scan.unknown_version_rows += 1
-            else:
-                scan.damaged.append((kind, key, status))
+            status, document = _parse_row(text)
+            scan.note(kind, key, status)
+            if status == "ok" and kind == "sweeps":
+                scan.note_sweep_frontier(document.get("entry"))
         return scan
 
 
@@ -627,24 +668,31 @@ class SqliteScan:
     run_counter: int
     job_rows: int = 0
     entry_rows: Dict[str, int] = field(default_factory=dict)
+    foreign_rows: Dict[str, int] = field(default_factory=dict)
+    """Entry rows per kind written under another registry fingerprint."""
     stale_entries: int = 0
-    legacy_rows: int = 0
     unknown_version_rows: int = 0
     damaged: List[Tuple[str, str, str]] = field(default_factory=list)
-    """``(origin, key, status)`` for rows failing envelope verification."""
+    """``(origin, key, status)`` for rows the next store read quarantines."""
+    sweep_frontiers: List[int] = field(default_factory=list)
+    """The box count of every persisted sweep frontier."""
 
+    def note(self, origin: str, key: str, status: str) -> None:
+        if status == "unknown-version":
+            self.unknown_version_rows += 1
+        elif status != "ok":
+            self.damaged.append((origin, key, status))
 
-def _row_status(text: str) -> str:
-    try:
-        document = json.loads(text)
-    except ValueError:
-        return "corrupt-json"
-    status, _document = verify_payload(document)
-    return status
-
-
-def _canonical(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    def note_sweep_frontier(self, entry) -> None:
+        """Record the frontier blob of one sweep entry, if it has one."""
+        if not isinstance(entry, list) or len(entry) <= _FRONTIER_INDEX:
+            return
+        blob = entry[_FRONTIER_INDEX]
+        if not isinstance(blob, list) or len(blob) <= _FRONTIER_BOXES_INDEX:
+            return
+        boxes = blob[_FRONTIER_BOXES_INDEX]
+        if isinstance(boxes, list):
+            self.sweep_frontiers.append(len(boxes))
 
 
 class _Transaction:
@@ -677,107 +725,3 @@ class _Transaction:
                 self._connection.rollback()
         finally:
             self._lock.release()
-
-
-# ---------------------------------------------------------------------------
-# Migration: JSON shards -> SQLite, one shot.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MigrationReport:
-    """What ``repro store migrate`` carried over (and what it removed)."""
-
-    directory: str
-    jobs: int = 0
-    entries: Dict[str, int] = field(default_factory=dict)
-    run_counter: int = 0
-    skipped_jobs: int = 0
-    removed_files: int = 0
-    kept_json: bool = False
-
-    def summary(self) -> str:
-        lines = [
-            f"cache directory  : {self.directory}",
-            f"backend          : sqlite ({DB_FILENAME})",
-            f"job results      : {self.jobs} migrated"
-            + (f", {self.skipped_jobs} skipped (damaged)" if self.skipped_jobs else ""),
-        ]
-        for kind in _ENTRY_KINDS:
-            lines.append(f"{kind:<17s}: {self.entries.get(kind, 0)} entries migrated")
-        lines.append(f"run counter      : {self.run_counter}")
-        if self.kept_json:
-            lines.append("json files       : kept (--keep-json); 'auto' now picks sqlite")
-        else:
-            lines.append(f"json files       : {self.removed_files} removed")
-        return "\n".join(lines)
-
-
-def migrate_store(
-    directory: Union[str, Path], keep_json: bool = False
-) -> MigrationReport:
-    """Import a JSON-shard cache directory into the SQLite backend.
-
-    Checksummed envelopes are carried over (legacy version-1 documents are
-    re-sealed, exactly as a shard write would), GC touch stamps and the run
-    counter survive, and every registry fingerprint's entries are kept.
-    Orphaned merge intents are replayed first, so entries a crashed run was
-    still carrying are migrated too.  Unless ``keep_json`` is set, the JSON
-    layout (shards, job files, meta, locks) is removed afterwards, leaving a
-    SQLite-only directory that ``open_store`` auto-detects; either way the
-    migration is idempotent -- re-running it re-imports whatever JSON files
-    remain and changes nothing else.
-    """
-    directory = Path(directory)
-    source = BatchCache(directory)
-    with source._directory_lock(exclusive=True):
-        source._replay_orphaned_intents()
-    target = SqliteStore(directory)
-    report = MigrationReport(directory=str(directory))
-
-    for kind in _ENTRY_KINDS:
-        migrated = 0
-        for fingerprint, entries, touched in source.export_entry_documents(kind):
-            migrated += target.import_entries(kind, fingerprint, entries, touched)
-        report.entries[kind] = migrated
-
-    if source.jobs_directory.is_dir():
-        for path in sorted(source.jobs_directory.glob("*.json")):
-            status, document = verify_document(path)
-            if status not in ("ok", "legacy") or not isinstance(
-                document.get("result"), dict
-            ):
-                report.skipped_jobs += 1
-                continue
-            target.import_job_document(path.stem, {"result": document["result"]})
-            report.jobs += 1
-
-    report.run_counter = max(target.run_counter(), source.run_counter())
-    target.set_run_counter(report.run_counter)
-
-    if not keep_json:
-        removed = 0
-        patterns = ["measures-*.json", "sweeps-*.json", "frontiers-*.json",
-                    "measures-*.lock", "sweeps-*.lock", "frontiers-*.lock",
-                    "intent-*.json"]
-        for pattern in patterns:
-            for path in sorted(directory.glob(pattern)):
-                path.unlink(missing_ok=True)
-                removed += 1
-        for path in (source.measures_path, source.meta_path,
-                     directory / "measures.lock", directory / "meta.lock"):
-            if path.exists():
-                path.unlink(missing_ok=True)
-                removed += 1
-        if source.jobs_directory.is_dir():
-            for path in sorted(source.jobs_directory.glob("*.json")):
-                path.unlink(missing_ok=True)
-                removed += 1
-            try:
-                source.jobs_directory.rmdir()
-            except OSError:
-                pass
-        report.removed_files = removed
-    else:
-        report.kept_json = True
-    return report

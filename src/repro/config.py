@@ -1,7 +1,7 @@
 """``ReproConfig``: one object for every knob the CLI, batch and daemon share.
 
 Seven PRs accreted flags in layers -- measure-engine toggles, sweep budgets,
-anytime schedules, batch fan-out, store location and backend, fault
+anytime schedules, batch fan-out, store location, fault
 tolerance, tracing -- each parsed ad hoc off an ``argparse.Namespace`` by a
 scattering of ``_measure_options`` / ``_batch_cache`` / ``_retry_policy``
 helpers.  This module consolidates that surface into a single frozen
@@ -93,8 +93,8 @@ class ReproConfig:
     cache_dir: Optional[str] = None
     """``--cache-dir``: the persistent store directory (None = no store)."""
 
-    store_backend: str = "auto"
-    """``--store``: 'auto' (sqlite iff store.sqlite3 exists), 'json', 'sqlite'."""
+    store_backend: str = "sqlite"
+    """The store backend; only 'sqlite' exists (any other value raises)."""
 
     # -- fault tolerance -------------------------------------------------------
     job_timeout: Optional[float] = None
@@ -118,6 +118,12 @@ class ReproConfig:
     max_sessions: Optional[int] = None
     """``--max-sessions``: cap on live named daemon sessions; the least
     recently used ones are evicted past it (``None`` = unbounded)."""
+
+    def __post_init__(self) -> None:
+        if self.store_backend != "sqlite":
+            raise ValueError(
+                f"unknown store backend {self.store_backend!r}; expected 'sqlite'"
+            )
 
     # -- construction ----------------------------------------------------------
 
@@ -143,7 +149,6 @@ class ReproConfig:
             jobs=flag("jobs"),
             explore_jobs=flag("explore_jobs"),
             cache_dir=flag("cache_dir"),
-            store_backend=flag("store", "auto") or "auto",
             job_timeout=flag("job_timeout"),
             max_retries=flag("max_retries"),
             retry_backoff=flag("retry_backoff"),
@@ -244,4 +249,4 @@ class ReproConfig:
             return None
         from repro.batch.store_sqlite import open_store
 
-        return open_store(self.cache_dir, backend=self.store_backend)
+        return open_store(self.cache_dir)

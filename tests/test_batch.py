@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.batch import (
-    BatchCache,
     JobSpec,
     read_result_keys,
     run_batch,
@@ -14,7 +13,7 @@ from repro.batch import (
     table2_suite,
     write_results_jsonl,
 )
-from repro.batch.cache import CACHE_VERSION, shard_prefix
+from repro.batch.store_sqlite import CACHE_VERSION, open_store
 from repro.batch.jobs import decode_number, encode_number
 from repro.cli import main
 from repro.geometry.engine import MeasureEngine
@@ -29,6 +28,12 @@ def small_suite():
 
 def jsonl_lines(results):
     return [result.to_json_line() for result in results]
+
+
+def execute_sql(store, statement, parameters=()):
+    """Rewrite store rows behind the store's back (simulated damage)."""
+    with store._connection:
+        store._connection.execute(statement, parameters)
 
 
 class TestJobSpec:
@@ -91,7 +96,7 @@ class TestRunJob:
 
 class TestRunBatch:
     def test_same_batch_twice_is_bit_identical_with_high_hit_rate(self, tmp_path):
-        cache = BatchCache(tmp_path / "cache")
+        cache = open_store(tmp_path / "cache")
         specs = small_suite()
         first = run_batch(specs, jobs=1, cache=cache)
         second = run_batch(specs, jobs=1, cache=cache)
@@ -115,7 +120,7 @@ class TestRunBatch:
         assert [r.spec.program for r in report.results] == [s.program for s in specs]
 
     def test_error_jobs_do_not_kill_the_batch_and_are_not_cached(self, tmp_path):
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         specs = [
             JobSpec(program="geo(1/2)", analysis="verify"),
             JobSpec(program="this is ((( not a program", analysis="verify"),
@@ -128,7 +133,7 @@ class TestRunBatch:
         assert jsonl_lines(first.results) == jsonl_lines(second.results)
 
     def test_sibling_workers_reuse_the_persistent_measure_cache(self, tmp_path):
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         run_batch(table2_suite(), jobs=1, cache=cache)
         from repro.batch.suites import classify_suite
 
@@ -154,7 +159,7 @@ class TestRunBatch:
         assert read_result_keys(path) == {report.results[0].key}
 
     def test_concurrent_measure_merges_do_not_lose_entries(self, tmp_path):
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         engine = MeasureEngine()
         cache.merge_measures(engine, {"key-a": [["F", "1/2"], True, False, "interval"]})
         cache.merge_measures(engine, {"key-b": [["F", "1/3"], True, False, "interval"]})
@@ -162,35 +167,44 @@ class TestRunBatch:
         assert set(entries) == {"key-a", "key-b"}
 
 
-class TestBatchCacheRobustness:
-    def test_corrupted_job_file_is_discarded_gracefully(self, tmp_path):
-        cache = BatchCache(tmp_path)
+class TestStoreRobustness:
+    def test_corrupted_job_row_is_discarded_gracefully(self, tmp_path):
+        cache = open_store(tmp_path)
         spec = JobSpec(program="geo(1/2)", analysis="verify")
         first = run_batch([spec], jobs=1, cache=cache)
         key = first.results[0].key
-        (cache.jobs_directory / f"{key}.json").write_text("{ truncated garbage")
+        execute_sql(
+            cache, "UPDATE jobs SET document = '{ truncated garbage' WHERE key = ?", (key,)
+        )
         assert cache.load_job(key) is None
         second = run_batch([spec], jobs=1, cache=cache)
         assert second.results[0].ok
         assert jsonl_lines(first.results) == jsonl_lines(second.results)
 
-    def test_version_mismatched_job_file_is_discarded(self, tmp_path):
-        cache = BatchCache(tmp_path)
+    def test_version_mismatched_job_row_is_discarded(self, tmp_path):
+        cache = open_store(tmp_path)
         spec = JobSpec(program="geo(1/2)", analysis="verify")
         result = run_batch([spec], jobs=1, cache=cache).results[0]
-        path = cache.jobs_directory / f"{result.key}.json"
-        document = json.loads(path.read_text())
+        text = cache._connection.execute(
+            "SELECT document FROM jobs WHERE key = ?", (result.key,)
+        ).fetchone()[0]
+        document = json.loads(text)
         document["version"] = CACHE_VERSION + 1
-        path.write_text(json.dumps(document))
+        execute_sql(
+            cache,
+            "UPDATE jobs SET document = ? WHERE key = ?",
+            (json.dumps(document), result.key),
+        )
         assert cache.load_job(result.key) is None
+        assert cache.quarantine_count == 0  # a newer tool's row stays in place
 
-    def test_corrupted_shards_read_as_misses(self, tmp_path):
-        cache = BatchCache(tmp_path)
+    def test_corrupted_entry_rows_read_as_misses(self, tmp_path):
+        cache = open_store(tmp_path)
         run_batch([JobSpec(program="geo(1/2)", analysis="verify")], jobs=1, cache=cache)
-        shards = sorted(tmp_path.glob("measures-*.json"))
-        assert shards, "a batch with a cache directory must persist measure shards"
-        for shard in shards:
-            shard.write_text("\x00\x01 not json")
+        assert cache.measure_entry_count(MeasureEngine()) > 0, (
+            "a batch with a cache directory must persist measure entries"
+        )
+        execute_sql(cache, "UPDATE entries SET document = ?", ("\x00\x01 not json",))
         assert cache.load_measures(MeasureEngine()) == {}
         # and a batch over the damaged cache still succeeds
         report = run_batch(
@@ -198,55 +212,56 @@ class TestBatchCacheRobustness:
         )
         assert report.results[0].ok
 
-    def test_one_corrupt_shard_does_not_hide_the_others(self, tmp_path):
-        cache = BatchCache(tmp_path)
+    def test_one_corrupt_row_does_not_hide_the_others(self, tmp_path):
+        cache = open_store(tmp_path)
         engine = MeasureEngine()
         entries = {
             "key-a": [["F", "1/2"], True, False, "interval"],
             "key-b": [["F", "1/3"], True, False, "interval"],
         }
         cache.merge_measures(engine, entries)
-        assert shard_prefix("key-a") != shard_prefix("key-b")
-        cache.shard_path(shard_prefix("key-a")).write_text("{ truncated garbage")
+        execute_sql(
+            cache, "UPDATE entries SET document = '{ truncated garbage' WHERE key = 'key-a'"
+        )
         survivors = cache.load_measures(engine)
         assert set(survivors) == {"key-b"}
 
     def test_fingerprint_mismatched_measures_are_ignored(self, tmp_path):
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         engine = MeasureEngine()
         run_batch([JobSpec(program="geo(1/2)", analysis="verify")], jobs=1, cache=cache)
-        for shard in tmp_path.glob("measures-*.json"):
-            document = json.loads(shard.read_text())
-            document["fingerprint"] = "someone-else's-primitives"
-            shard.write_text(json.dumps(document))
+        execute_sql(cache, "UPDATE entries SET fingerprint = 'someone-else''s-primitives'")
         assert cache.load_measures(engine) == {}
 
 
-class TestMeasureShards:
-    """The sharded persistent measure store and its legacy migration."""
+class TestMeasureEntries:
+    """The persistent measure entries of the store."""
 
     @staticmethod
     def _entry(value="1/2"):
         return [["F", value], True, False, "interval"]
 
-    def test_entries_land_in_their_key_shard(self, tmp_path):
-        cache = BatchCache(tmp_path)
+    def test_entries_land_in_their_key_row(self, tmp_path):
+        cache = open_store(tmp_path)
         engine = MeasureEngine()
         cache.merge_measures(engine, {"some-key": self._entry()})
-        shard = cache.shard_path(shard_prefix("some-key"))
-        assert shard.exists()
-        document = json.loads(shard.read_text())
+        rows = cache._connection.execute(
+            "SELECT kind, fingerprint, key, document FROM entries"
+        ).fetchall()
+        assert [row[:3] for row in rows] == [
+            ("measures", engine.registry_fingerprint(), "some-key")
+        ]
+        document = json.loads(rows[0][3])
         assert document["version"] == CACHE_VERSION
-        assert set(document["entries"]) == {"some-key"}
-        assert not cache.measures_path.exists()
+        assert document["entry"] == self._entry()
 
-    def test_concurrent_merges_into_distinct_shards(self, tmp_path):
+    def test_concurrent_merges_of_distinct_keys(self, tmp_path):
         import threading
 
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         engine = MeasureEngine()
         # 32 distinct keys, merged from 8 threads through 8 independent
-        # BatchCache instances over one directory: nothing may be lost.
+        # store instances over one directory: nothing may be lost.
         batches = [
             {f"key-{worker}-{index}": self._entry(f"1/{worker + index + 2}")
              for index in range(4)}
@@ -256,7 +271,7 @@ class TestMeasureShards:
 
         def merge(batch):
             try:
-                BatchCache(tmp_path).merge_measures(MeasureEngine(), batch)
+                open_store(tmp_path).merge_measures(MeasureEngine(), batch)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
@@ -269,83 +284,6 @@ class TestMeasureShards:
         merged = cache.load_measures(engine)
         expected = {key for batch in batches for key in batch}
         assert set(merged) == expected
-        assert len(list(tmp_path.glob("measures-*.json"))) >= 2
-
-    def test_legacy_single_file_is_read_transparently(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        legacy = {"legacy-key": self._entry("2/3")}
-        cache.measures_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,  # the pre-checksum legacy envelope
-                    "fingerprint": engine.registry_fingerprint(),
-                    "entries": legacy,
-                }
-            )
-        )
-        assert cache.load_measures(engine) == legacy
-
-    def test_legacy_file_is_migrated_into_shards_on_first_merge(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        cache.measures_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,  # the pre-checksum legacy envelope
-                    "fingerprint": engine.registry_fingerprint(),
-                    "entries": {"legacy-key": self._entry("2/3")},
-                }
-            )
-        )
-        count = cache.merge_measures(engine, {"fresh-key": self._entry("1/5")})
-        assert count == 2
-        assert not cache.measures_path.exists()
-        merged = cache.load_measures(engine)
-        assert set(merged) == {"legacy-key", "fresh-key"}
-        legacy_shard = json.loads(
-            cache.shard_path(shard_prefix("legacy-key")).read_text()
-        )
-        assert "legacy-key" in legacy_shard["entries"]
-
-    def test_fresh_entry_wins_over_equal_legacy_key(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        cache.measures_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,  # the pre-checksum legacy envelope
-                    "fingerprint": engine.registry_fingerprint(),
-                    "entries": {"shared-key": self._entry("2/3")},
-                }
-            )
-        )
-        cache.merge_measures(engine, {"shared-key": self._entry("1/5")})
-        assert cache.load_measures(engine)["shared-key"] == self._entry("1/5")
-
-    def test_pr2_format_cache_directory_still_warms_an_engine(self, tmp_path):
-        """A directory written by the PR 2 layout (jobs/ + measures.json)."""
-        from repro.astcheck import verify_ast
-
-        program = resolve_program("ex1.1-(2)(1/2)")
-        cold = MeasureEngine()
-        verify_ast(program, engine=cold)
-        cache = BatchCache(tmp_path)
-        # Simulate the old layout: all entries in one measures.json.
-        cache.measures_path.write_text(
-            json.dumps(
-                {
-                    "version": 1,  # the pre-checksum legacy envelope
-                    "fingerprint": cold.registry_fingerprint(),
-                    "entries": cold.export_cache_entries(),
-                }
-            )
-        )
-        warm = MeasureEngine()
-        warm.import_cache_entries(cache.load_measures(warm))
-        verify_ast(program, engine=warm)
-        assert warm.stats.persistent_hits > 0
-        assert warm.stats.measure_calls < cold.stats.measure_calls
 
 
 class TestMeasureEnginePersistence:
@@ -477,9 +415,9 @@ class TestScheduleJobs:
         from repro.batch.suites import schedule_suite
 
         specs = schedule_suite([12, 18])
-        cold = run_batch(specs, jobs=1, cache=BatchCache(tmp_path))
+        cold = run_batch(specs, jobs=1, cache=open_store(tmp_path))
         assert all(result.ok for result in cold.results)
-        warm = run_batch(specs, jobs=1, cache=BatchCache(tmp_path))
+        warm = run_batch(specs, jobs=1, cache=open_store(tmp_path))
         assert warm.cache_hits == len(specs)
         assert jsonl_lines(warm.results) == jsonl_lines(cold.results)
 
@@ -496,7 +434,7 @@ class TestSweepFrontierPersistence:
     def test_deeper_budget_resumes_the_persisted_frontier(self, tmp_path):
         from repro.geometry.measure import MeasureOptions
 
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         shallow = MeasureEngine(MeasureOptions(sweep_depth=10))
         self._bound(shallow)
         cache.merge_sweeps(shallow, shallow.export_sweep_entries())
@@ -516,7 +454,7 @@ class TestSweepFrontierPersistence:
     def test_malformed_frontier_blobs_read_as_cold_misses(self, tmp_path):
         from repro.geometry.measure import MeasureOptions
 
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         shallow = MeasureEngine(MeasureOptions(sweep_depth=10))
         self._bound(shallow)
         exported = shallow.export_sweep_entries()
@@ -534,7 +472,7 @@ class TestSweepFrontierPersistence:
     def test_early_exit_budgets_never_warm_start(self, tmp_path):
         from repro.geometry.measure import MeasureOptions
 
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         shallow = MeasureEngine(MeasureOptions(sweep_depth=10))
         self._bound(shallow)
         cache.merge_sweeps(shallow, shallow.export_sweep_entries())
@@ -633,7 +571,7 @@ class TestBatchCLI:
 
 
 class TestSweepStoreAndPrune:
-    """The persistent sweep shards, the run counter, and the GC."""
+    """The persistent sweep entries, the run counter, and the GC."""
 
     @staticmethod
     def _measure_entry(value="1/2"):
@@ -646,10 +584,9 @@ class TestSweepStoreAndPrune:
     def test_sweep_entries_persist_and_seed_warm_engines(self, tmp_path):
         from repro.batch.suites import sweep_suite
 
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         report = run_batch(sweep_suite(depth=20), jobs=1, cache=cache)
         assert all(result.ok for result in report.results)
-        assert sorted(tmp_path.glob("sweeps-*.json")), "sweep shards must persist"
         engine = MeasureEngine()
         entries = cache.load_sweeps(engine)
         assert entries
@@ -661,7 +598,7 @@ class TestSweepStoreAndPrune:
         assert engine.stats.persistent_hits > 0
 
     def test_run_counter_ticks_only_when_work_happens(self, tmp_path):
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         assert cache.run_counter() == 0
         spec = JobSpec(program="geo(1/2)", analysis="verify")
         run_batch([spec], jobs=1, cache=cache)
@@ -671,7 +608,7 @@ class TestSweepStoreAndPrune:
         assert cache.run_counter() == 1
 
     def test_prune_drops_stale_entries_and_keeps_fresh_ones(self, tmp_path):
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         engine = MeasureEngine()
         first_run = cache.begin_run()
         cache.merge_measures(engine, {"stale-measure": self._measure_entry()}, run=first_run)
@@ -688,23 +625,18 @@ class TestSweepStoreAndPrune:
         assert report.pruned_total == 2
         assert set(cache.load_measures(engine)) == {"fresh-measure"}
         assert set(cache.load_sweeps(engine)) == {"fresh-sweep"}
-        # Shards emptied by the prune are removed from disk outright.
-        assert report.removed_files >= 1
-        assert not cache.shard_path(shard_prefix("stale-measure")).exists()
 
     def test_persistent_hits_refresh_touch_stamps(self, tmp_path):
         from repro.batch.suites import sweep_suite
 
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         cold = run_batch(sweep_suite(depth=20), jobs=1, cache=cache)
         assert all(result.ok for result in cold.results)
         # Age the store, then force the jobs to recompute: the reruns answer
         # from the persistent store, which must re-stamp the entries they hit.
         for _ in range(5):
             cache.begin_run()
-        import shutil
-
-        shutil.rmtree(cache.jobs_directory)
+        execute_sql(cache, "DELETE FROM jobs")
         warm = run_batch(sweep_suite(depth=20), jobs=1, cache=cache)
         assert jsonl_lines(warm.results) == jsonl_lines(cold.results)
         before = len(cache.load_sweeps(MeasureEngine()))
@@ -714,10 +646,10 @@ class TestSweepStoreAndPrune:
 
     def test_prune_rejects_non_positive_age(self, tmp_path):
         with pytest.raises(ValueError):
-            BatchCache(tmp_path).prune(min_age_runs=0)
+            open_store(tmp_path).prune(min_age_runs=0)
 
     def test_prune_cli_reports_counts(self, tmp_path, capsys):
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         engine = MeasureEngine()
         run = cache.begin_run()
         cache.merge_measures(engine, {"old-key": self._measure_entry()}, run=run)
@@ -733,7 +665,7 @@ class TestSweepStoreAndPrune:
         from repro.batch.suites import sweep_suite
         from repro.geometry.measure import MeasureOptions
 
-        cache = BatchCache(tmp_path)
+        cache = open_store(tmp_path)
         specs = sweep_suite(depth=20)
         default_report = run_batch(specs, jobs=1, cache=cache)
         # The joint-sweep engine computes different (looser) bounds, so it

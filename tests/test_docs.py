@@ -60,27 +60,51 @@ class TestTelemetryReference:
         assert not undocumented, f"event kinds missing from docs: {undocumented}"
 
 
+def parser_flags():
+    flags = set()
+    for parser in iter_parsers(build_parser()):
+        for action in parser._actions:
+            flags.update(
+                option
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            )
+    return flags
+
+
+def parser_commands():
+    commands = set()
+    for action in build_parser()._actions:
+        commands.update(getattr(action, "choices", None) or {})
+    return commands
+
+
 class TestCliReference:
     def test_every_flag_is_documented(self):
         text = (REPO_ROOT / "docs" / "cli.md").read_text()
-        flags = set()
-        for parser in iter_parsers(build_parser()):
-            for action in parser._actions:
-                flags.update(
-                    option
-                    for option in action.option_strings
-                    if option.startswith("--") and option != "--help"
-                )
-        undocumented = sorted(flag for flag in flags if flag not in text)
+        undocumented = sorted(flag for flag in parser_flags() if flag not in text)
         assert not undocumented, f"flags missing from docs/cli.md: {undocumented}"
+
+    def test_every_documented_flag_exists(self):
+        text = (REPO_ROOT / "docs" / "cli.md").read_text()
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+        # --help is argparse's own; --history belongs to compare_bench.py.
+        unknown = sorted(documented - parser_flags() - {"--help", "--history"})
+        assert not unknown, f"docs/cli.md documents unknown flags: {unknown}"
 
     def test_every_command_is_documented(self):
         text = (REPO_ROOT / "docs" / "cli.md").read_text()
-        parser = build_parser()
-        commands = set()
-        for action in parser._actions:
-            commands.update(getattr(action, "choices", None) or {})
         undocumented = sorted(
-            command for command in commands if f"`{command}" not in text
+            command for command in parser_commands() if f"`{command}" not in text
         )
         assert not undocumented, f"commands missing from docs/cli.md: {undocumented}"
+
+    def test_every_documented_command_exists(self):
+        text = (REPO_ROOT / "docs" / "cli.md").read_text()
+        documented = {
+            name.split()[0]
+            for heading in re.findall(r"^### (.+)$", text, re.MULTILINE)
+            for name in re.findall(r"`([^`]+)`", heading)
+        }
+        unknown = sorted(documented - parser_commands())
+        assert not unknown, f"docs/cli.md documents unknown commands: {unknown}"

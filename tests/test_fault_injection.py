@@ -9,22 +9,22 @@ run -- or be loudly quarantined, never silently misread.
 
 import json
 import logging
+import sqlite3
 import threading
 
 import pytest
 
 from repro.batch import (
-    BatchCache,
     Fault,
     FaultPlan,
     JobSpec,
     RetryPolicy,
     diagnose,
+    open_store,
     run_batch,
     scan_results_jsonl,
     write_results_jsonl,
 )
-from repro.batch.cache import shard_prefix
 from repro.batch.faults import ENV_VAR
 from repro.cli import main
 from repro.geometry.engine import MeasureEngine
@@ -78,7 +78,7 @@ class TestWorkerFaults:
         report = run_batch(
             _specs(),
             jobs=1,
-            cache=BatchCache(cache_dir),
+            cache=open_store(cache_dir),
             job_timeout=30.0,
             retry_policy=_FAST_RETRIES,
         )
@@ -87,10 +87,10 @@ class TestWorkerFaults:
         monkeypatch.delenv(ENV_VAR)
         # The crash lost neither the finished job results nor the measure
         # entries they exported: a warm rerun is all cache hits, no recompute.
-        warm = run_batch(_specs(), jobs=1, cache=BatchCache(cache_dir))
+        warm = run_batch(_specs(), jobs=1, cache=open_store(cache_dir))
         assert warm.cache_hits == len(_specs())
         assert _jsonl(warm.results) == _jsonl(report.results)
-        store = BatchCache(cache_dir)
+        store = open_store(cache_dir)
         assert store.measure_entry_count(MeasureEngine()) > 0
 
     def test_hang_trips_job_timeout_and_recovers(self, tmp_path, monkeypatch):
@@ -147,41 +147,69 @@ class TestWorkerFaults:
         assert report.worker_restarts == 0
 
 
+def _entry_rows(cache_dir, kind="measures"):
+    """``{key: document}`` of every ``kind`` entry row, read directly."""
+    connection = sqlite3.connect(cache_dir / "store.sqlite3")
+    try:
+        return dict(
+            connection.execute(
+                "SELECT key, document FROM entries WHERE kind = ?", (kind,)
+            )
+        )
+    finally:
+        connection.close()
+
+
+def _database_snapshot(cache_dir):
+    """The database file's bytes and every row of every table."""
+    path = cache_dir / "store.sqlite3"
+    connection = sqlite3.connect(path)
+    try:
+        rows = list(connection.iterdump())
+    finally:
+        connection.close()
+    return path.read_bytes(), rows
+
+
 class TestStoreFaults:
-    """Torn writes and bit flips against the checksummed store."""
+    """Torn writes and bit flips against the checksummed store rows."""
 
     def _populate(self, cache_dir):
-        return run_batch([_specs()[0]], jobs=1, cache=BatchCache(cache_dir))
+        store = open_store(cache_dir)
+        report = run_batch([_specs()[0]], jobs=1, cache=store)
+        store.close()
+        return report
 
     def test_torn_shard_write_is_quarantined_not_silently_missed(
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
-        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures-")])
+        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures/")])
         self._populate(cache_dir)
         monkeypatch.delenv(ENV_VAR)
-        store = BatchCache(cache_dir)
-        # Only one shard was torn (the fault fires once); its entries read
-        # as misses, but never *silent* ones -- the file is set aside.
-        store.load_measures(MeasureEngine())
-        assert store.quarantine_count >= 1
-        quarantined, reason = store.quarantined[0]
-        assert quarantined.parent == store.quarantine_directory
-        assert "measures-" in quarantined.name
-        assert quarantined.with_name(quarantined.name + ".reason").exists()
-        assert reason in ("corrupt-json", "checksum-mismatch", "missing-checksum")
+        rows = _entry_rows(cache_dir)
+        torn = [key for key, text in rows.items() if not text.endswith("}")]
+        assert len(torn) == 1  # the fault fires once, on one committed row
+        store = open_store(cache_dir)
+        # The torn row reads as a miss, but never a *silent* one: it is set
+        # aside in the quarantine table, and every other row still loads.
+        entries = store.load_measures(MeasureEngine())
+        assert set(entries) == set(rows) - set(torn)
+        assert store.quarantined == [(f"measures/{torn[0]}", "corrupt-json")]
+        assert store.quarantine_rows() == [("measures", torn[0], "corrupt-json")]
+        assert torn[0] not in _entry_rows(cache_dir)
 
     def test_quarantine_count_reaches_batch_report_and_stats(
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
-        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures-")])
+        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures/")])
         self._populate(cache_dir)
         monkeypatch.delenv(ENV_VAR)
         report = run_batch(
-            [_specs()[1]], jobs=1, cache=BatchCache(cache_dir)
+            [_specs()[1]], jobs=1, cache=open_store(cache_dir)
         )
-        assert report.quarantined_shards >= 1
+        assert report.quarantined_shards == 1
         assert report.stats.quarantined_shards == report.quarantined_shards
         assert "quarantined files" in report.summary()
 
@@ -189,108 +217,59 @@ class TestStoreFaults:
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
-        _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match="measures-")])
+        _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match="measures/")])
         self._populate(cache_dir)
         monkeypatch.delenv(ENV_VAR)
-        flipped = [
-            path
-            for path in cache_dir.glob("measures-*.json")
-            if diagnose(cache_dir).errors
-        ]
         report = diagnose(cache_dir)
         assert not report.healthy
         assert report.exit_code == 1
-        damaged = [finding for finding in report.errors]
-        assert damaged, "the flipped shard must surface as an error finding"
-        assert any(
-            finding.path and "measures-" in finding.path for finding in damaged
-        )
-        named = [finding.path for finding in damaged if finding.path]
-        assert any(name in report.summary() for name in named)
-        assert flipped  # sanity: the flip actually landed on a shard
+        # Exactly one row was flipped, and the doctor names it.
+        [damaged] = report.errors
+        assert damaged.code in ("corrupt-json", "checksum-mismatch", "missing-checksum")
+        flipped = [
+            key
+            for key in _entry_rows(cache_dir)
+            if f"measures/{key} " in damaged.message
+        ]
+        assert len(flipped) == 1
+        assert damaged.message in report.summary()
 
     def test_doctor_is_read_only_and_flags_quarantine_after_a_read(
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
-        _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match="measures-")])
+        _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match="measures/")])
         self._populate(cache_dir)
         monkeypatch.delenv(ENV_VAR)
-        before = sorted(path.name for path in cache_dir.rglob("*"))
+        before = _database_snapshot(cache_dir)
         diagnose(cache_dir)
-        after = sorted(path.name for path in cache_dir.rglob("*"))
-        assert before == after  # the doctor never mutates the store
-        # A cache read quarantines the damage; the doctor then reports it.
-        BatchCache(cache_dir).load_measures(MeasureEngine())
+        assert _database_snapshot(cache_dir) == before  # never mutates the store
+        # A store read quarantines the damage; the doctor then reports it.
+        open_store(cache_dir).load_measures(MeasureEngine())
         report = diagnose(cache_dir)
-        assert report.counts["quarantined"] >= 1
+        assert report.counts["quarantined"] == 1
         assert any(finding.code == "quarantined" for finding in report.errors)
         assert report.exit_code == 1
 
 
 class TestMergeDurability:
-    """Write-ahead intents and lock contention on the shared store."""
+    """Concurrent writers on the shared store."""
 
     @staticmethod
     def _entry(value="1/2"):
         return [["F", value], True, False, "interval"]
 
-    def test_orphaned_intent_is_replayed_by_the_next_merge(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        fingerprint = engine.registry_fingerprint()
-        # Simulate a merge that died after journalling its intent but before
-        # touching any shard: the intent file survives, unlocked.
-        with pytest.raises(RuntimeError):
-            with cache._intent(
-                "measures", fingerprint, 1, {"crashed-key": self._entry("2/3")}, set()
-            ):
-                raise RuntimeError("killed mid-merge")
-        assert list(tmp_path.glob("intent-*.json"))
-        cache.merge_measures(engine, {"fresh-key": self._entry("1/5")})
-        entries = cache.load_measures(engine)
-        assert set(entries) == {"crashed-key", "fresh-key"}
-        assert not list(tmp_path.glob("intent-*.json"))
-
-    def test_orphaned_intent_is_replayed_by_prune(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        with pytest.raises(RuntimeError):
-            with cache._intent(
-                "sweeps", engine.registry_fingerprint(), 1, {"s-key": [0, 1]}, set()
-            ):
-                raise RuntimeError("killed mid-merge")
-        cache.begin_run()
-        cache.prune(min_age_runs=5)
-        assert set(cache.load_sweeps(engine)) == {"s-key"}
-
-    def test_doctor_reports_an_orphaned_intent_as_a_warning(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        with pytest.raises(RuntimeError):
-            with cache._intent(
-                "measures", engine.registry_fingerprint(), 1, {"k": self._entry()}, set()
-            ):
-                raise RuntimeError("killed mid-merge")
-        report = diagnose(tmp_path)
-        assert any(finding.code == "orphaned-intent" for finding in report.warnings)
-        assert report.exit_code == 0  # auto-repaired states do not fail doctor
-
     def test_concurrent_merges_into_the_same_shard_lose_nothing(self, tmp_path):
         engine = MeasureEngine()
-        # Brute-force a pile of keys that share one shard file.
-        by_prefix = {}
-        for index in range(4096):
-            key = f"contended-key-{index}"
-            by_prefix.setdefault(shard_prefix(key), []).append(key)
-        prefix, keys = max(by_prefix.items(), key=lambda item: len(item[1]))
-        assert len(keys) >= 8
-        chunks = [keys[start::4] for start in range(4)]
+        # Four store instances merging overlapping key sets into one
+        # database, one transaction per key: every key must land.
+        keys = [f"contended-key-{index}" for index in range(64)]
+        chunks = [keys[start::2] + keys[: len(keys) // 2] for start in range(2)] * 2
         errors = []
 
         def merge(chunk):
             try:
-                cache = BatchCache(tmp_path)
+                cache = open_store(tmp_path)
                 for key in chunk:
                     cache.merge_measures(engine, {key: self._entry()})
             except Exception as exc:  # pragma: no cover - diagnostic only
@@ -302,9 +281,9 @@ class TestMergeDurability:
         for thread in threads:
             thread.join()
         assert not errors
-        entries = BatchCache(tmp_path).load_measures(engine)
-        assert set(keys) <= set(entries)
-        assert not list(tmp_path.glob("intent-*.json"))
+        entries = open_store(tmp_path).load_measures(engine)
+        assert set(entries) == set(keys)
+        assert diagnose(tmp_path).healthy
 
 
 class TestResultsFileRobustness:
@@ -343,7 +322,7 @@ class TestResultsFileRobustness:
     def test_unkeyable_spec_is_logged_once_per_batch(self, tmp_path, caplog):
         spec = JobSpec(program="((( broken", analysis="verify")
         with caplog.at_level(logging.WARNING, logger="repro.batch"):
-            run_batch([spec], jobs=1, cache=BatchCache(tmp_path / "cache"))
+            run_batch([spec], jobs=1, cache=open_store(tmp_path / "cache"))
         warnings = [
             record
             for record in caplog.records
@@ -441,12 +420,18 @@ class TestCliAcceptance:
         assert "healthy" in output
         document = json.loads(report_json.read_text())
         assert document["healthy"] is True
-        # Flip one bit in one shard: doctor must now fail and name the file.
-        shard = sorted(cache_dir.glob("measures-*.json"))[0]
-        data = bytearray(shard.read_bytes())
-        data[len(data) // 2] ^= 0x04
-        shard.write_bytes(bytes(data))
+        # Flip one character of one entry row: doctor must now fail and
+        # name the row.
+        key, text = sorted(_entry_rows(cache_dir).items())[0]
+        middle = len(text) // 2
+        damaged = text[:middle] + chr(ord(text[middle]) ^ 0x04) + text[middle + 1 :]
+        connection = sqlite3.connect(cache_dir / "store.sqlite3")
+        with connection:
+            connection.execute(
+                "UPDATE entries SET document = ? WHERE key = ?", (damaged, key)
+            )
+        connection.close()
         assert main(["doctor", "--cache-dir", str(cache_dir)]) == 1
         output = capsys.readouterr().out
-        assert shard.name in output
+        assert f"measures/{key} " in output
         assert "PROBLEMS FOUND" in output

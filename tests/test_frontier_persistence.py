@@ -12,8 +12,7 @@ The distributed-deepening invariants (see :mod:`repro.batch.distribute`):
   completed symbolic step, and a worker never re-executes a shard whose
   output is already merged,
 * frontier entries age and survive ``prune`` exactly like measure and
-  sweep entries, and ``doctor`` audits their shards, in both store
-  backends.
+  sweep entries, and ``doctor`` audits their rows.
 """
 
 import json
@@ -208,14 +207,13 @@ def _shard_params(key, target, count, prefer, store):
         "max_paths": 100_000,
         "strategy": None,
         "store_dir": str(store.directory),
-        "store_backend": store.backend_name,
     }
 
 
 def test_workers_skip_shards_whose_output_is_already_merged(tmp_path):
     program = resolve_program("sig-branch(3/5)")
     engine = MeasureEngine()
-    store = open_store(tmp_path, backend="json")
+    store = open_store(tmp_path)
     key, shards = _seed_shards(store, engine, program, 10, 25, 2)
     assert len(shards) == 2
     # A previous fleet completed shard 0 before dying: its output is merged.
@@ -241,7 +239,7 @@ def test_workers_respect_a_live_claim_and_steal_once_it_releases(tmp_path):
     pytest.importorskip("fcntl")
     program = resolve_program("sig-branch(3/5)")
     engine = MeasureEngine()
-    store = open_store(tmp_path, backend="json")
+    store = open_store(tmp_path)
     key, shards = _seed_shards(store, engine, program, 10, 25, 2)
     holder = _ShardClaims(store.directory)
     assert holder.try_claim(_claim_name(key, 25, 1))
@@ -259,14 +257,11 @@ def test_workers_respect_a_live_claim_and_steal_once_it_releases(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# End to end: byte-identity and crash-resume through both store backends.
+# End to end: byte-identity and crash-resume through the store.
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_distributed_schedule_is_bit_identical_and_crash_resumable(
-    tmp_path, backend
-):
+def test_distributed_schedule_is_bit_identical_and_crash_resumable(tmp_path):
     program = resolve_program("sig-branch(3/5)")
     schedule = [10, 25, 40]
     reference_engine = MeasureEngine()
@@ -274,7 +269,7 @@ def test_distributed_schedule_is_bit_identical_and_crash_resumable(
         "sig-branch(3/5)",
         program,
         schedule,
-        store=open_store(tmp_path / "reference", backend=backend),
+        store=open_store(tmp_path / "reference"),
         engine=reference_engine,
         jobs=1,
         max_paths=100_000,
@@ -287,7 +282,7 @@ def test_distributed_schedule_is_bit_identical_and_crash_resumable(
         "sig-branch(3/5)",
         program,
         schedule[:2],
-        store=open_store(fleet_dir, backend=backend),
+        store=open_store(fleet_dir),
         engine=MeasureEngine(),
         jobs=2,
         max_paths=100_000,
@@ -298,7 +293,7 @@ def test_distributed_schedule_is_bit_identical_and_crash_resumable(
         "sig-branch(3/5)",
         program,
         schedule,
-        store=open_store(fleet_dir, backend=backend),
+        store=open_store(fleet_dir),
         engine=resumed_engine,
         jobs=2,
         max_paths=100_000,
@@ -321,10 +316,9 @@ def test_distributed_schedule_is_bit_identical_and_crash_resumable(
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_store_round_trips_frontier_entries(tmp_path, backend):
+def test_store_round_trips_frontier_entries(tmp_path):
     engine = MeasureEngine()
-    store = open_store(tmp_path, backend=backend)
+    store = open_store(tmp_path)
     session = SymbolicExplorer().session(_PROGRAMS["sig-branch3"])
     session.extend(15)
     rows = [{"depth": 15, "probability": "1/3"}]
@@ -332,7 +326,7 @@ def test_store_round_trips_frontier_entries(tmp_path, backend):
         engine, {"the-key": frontier_entry(encode_session(session), rows)}
     )
     assert store.frontier_entry_count(engine) == 1
-    loaded = open_store(tmp_path, backend=backend).load_frontiers(engine)
+    loaded = open_store(tmp_path).load_frontiers(engine)
     encoded, loaded_rows = frontier_entry_parts(loaded["the-key"])
     assert loaded_rows == rows
     restored = decode_session(encoded, SymbolicExplorer(), credit_stats=False)
@@ -342,10 +336,9 @@ def test_store_round_trips_frontier_entries(tmp_path, backend):
     assert frontier_entry_parts("garbage") is None
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_prune_ages_frontier_entries_like_other_kinds(tmp_path, backend):
+def test_prune_ages_frontier_entries_like_other_kinds(tmp_path):
     engine = MeasureEngine()
-    store = open_store(tmp_path, backend=backend)
+    store = open_store(tmp_path)
     run = store.begin_run()
     store.merge_frontiers(engine, {"stale": frontier_entry([], [])}, run=run)
     store.merge_frontiers(engine, {"touched": frontier_entry([], [])}, run=run)
@@ -363,7 +356,7 @@ def test_prune_ages_frontier_entries_like_other_kinds(tmp_path, backend):
 
 def test_doctor_audits_frontier_shards(tmp_path):
     engine = MeasureEngine()
-    store = open_store(tmp_path, backend="json")
+    store = open_store(tmp_path)
     store.begin_run()
     session = SymbolicExplorer().session(_PROGRAMS["gr"])
     session.extend(10)
@@ -372,9 +365,14 @@ def test_doctor_audits_frontier_shards(tmp_path):
     )
     report = diagnose(tmp_path, engine=engine)
     assert report.healthy
-    assert report.counts["frontiers_shards"] == 1
     assert report.counts["frontiers_entries"] == 1
-    # Damage to a frontier shard is a finding, like any other store file.
-    shard = next(tmp_path.glob("frontiers-*.json"))
-    shard.write_text(shard.read_text()[:-25])
-    assert not diagnose(tmp_path, engine=engine).healthy
+    # Damage to a frontier row is a finding, like any other store row.
+    with store._connection:
+        store._connection.execute(
+            "UPDATE entries SET document = substr(document, 1, length(document) - 25)"
+            " WHERE kind = 'frontiers'"
+        )
+    report = diagnose(tmp_path, engine=engine)
+    assert not report.healthy
+    assert [finding.code for finding in report.errors] == ["corrupt-json"]
+    assert "frontiers/k " in report.errors[0].message

@@ -1,14 +1,14 @@
-"""Tests for the SQLite store backend: parity with the JSON shards,
-quarantine semantics, GC, migration round-trips, backend discovery."""
+"""Tests for the SQLite store: round-trips, quarantine semantics, GC,
+doctor checks, and directories left behind by the old JSON-shard layout."""
 
 import json
 import sqlite3
 
 import pytest
 
-from repro.batch import JobSpec, migrate_store, open_store, run_batch, run_job
-from repro.batch.cache import BatchCache
-from repro.batch.store_sqlite import SqliteStore, sqlite_store_path
+from repro.batch import JobSpec, open_store, run_batch, run_job
+from repro.batch.doctor import diagnose
+from repro.batch.store_sqlite import SqliteStore, seal_document, sqlite_store_path
 from repro.geometry.engine import MeasureEngine
 
 
@@ -20,34 +20,55 @@ def warm_engine(depth=12):
     return engine, spec, result
 
 
-def populated_json_cache(tmp_path, depth=12):
-    cache = BatchCache(tmp_path)
+def populated_store(tmp_path, depth=12):
+    store = open_store(tmp_path)
     engine, spec, result = warm_engine(depth)
-    run = cache.begin_run()
-    cache.store_job(result)
-    cache.merge_measures(engine, engine.export_cache_entries(), run=run)
-    cache.merge_sweeps(engine, engine.export_sweep_entries(), run=run)
-    return cache, spec, result
+    run = store.begin_run()
+    store.store_job(result)
+    store.merge_measures(engine, engine.export_cache_entries(), run=run)
+    store.merge_sweeps(engine, engine.export_sweep_entries(), run=run)
+    return store, spec, result
+
+
+def execute_sql(store, statement, parameters=()):
+    """Rewrite store rows behind the store's back (simulated damage)."""
+    with store._connection:
+        store._connection.execute(statement, parameters)
+
+
+class _Registry:
+    """An engine stand-in under a chosen primitive-registry fingerprint."""
+
+    def __init__(self, fingerprint):
+        self.fingerprint = fingerprint
+
+    def registry_fingerprint(self):
+        return self.fingerprint
+
+
+_ENTRY = [["F", "1/2"], True, False, "interval"]
 
 
 class TestOpenStore:
-    def test_fresh_directory_defaults_to_json(self, tmp_path):
-        assert isinstance(open_store(tmp_path), BatchCache)
-
-    def test_auto_picks_sqlite_once_the_database_exists(self, tmp_path):
-        SqliteStore(tmp_path)
-        assert sqlite_store_path(tmp_path).exists()
-        assert isinstance(open_store(tmp_path), SqliteStore)
-
     def test_explicit_backends(self, tmp_path):
+        assert isinstance(open_store(tmp_path), SqliteStore)
         assert isinstance(open_store(tmp_path, backend="sqlite"), SqliteStore)
-        assert isinstance(open_store(tmp_path, backend="json"), BatchCache)
+        for backend in ("json", "auto", "postgres"):
+            with pytest.raises(ValueError):
+                open_store(tmp_path, backend=backend)
+
+    def test_config_accepts_only_the_sqlite_backend(self, tmp_path):
+        from repro.config import ReproConfig
+
+        config = ReproConfig(cache_dir=str(tmp_path))
+        assert isinstance(config.open_store(), SqliteStore)
+        assert ReproConfig(store_backend="sqlite") == ReproConfig()
         with pytest.raises(ValueError):
-            open_store(tmp_path, backend="postgres")
+            ReproConfig(cache_dir=str(tmp_path), store_backend="json")
 
 
 class TestSqliteStoreParity:
-    """The shard-store behaviours, mirrored on the database backend."""
+    """The store's read, write, quarantine and GC behaviours."""
 
     def test_job_round_trip(self, tmp_path):
         store = SqliteStore(tmp_path)
@@ -81,26 +102,76 @@ class TestSqliteStoreParity:
         engine, _spec, _result = warm_engine()
         entries = engine.export_cache_entries()
         store.merge_measures(engine, entries, run=1)
-        store.import_entries(
-            "measures", "other-fingerprint", {"bogus-key": ["bogus"]}, touched={}
-        )
+        store.merge_measures(_Registry("other-fingerprint"), {"bogus-key": ["bogus"]})
         fresh = MeasureEngine()
         assert len(store.load_measures(fresh)) == len(entries)
+
+    def test_quarantine_is_scoped_to_the_fingerprint(self, tmp_path):
+        store = SqliteStore(tmp_path)
+        first, second = _Registry("fingerprint-a"), _Registry("fingerprint-b")
+        store.merge_measures(first, {"k1": _ENTRY})
+        store.merge_measures(second, {"k1": _ENTRY})
+        execute_sql(
+            store,
+            "UPDATE entries SET document = 'torn' WHERE fingerprint = 'fingerprint-a'",
+        )
+        assert store.load_measures(first) == {}
+        assert store.quarantine_count == 1
+        # The healthy row of the same key under the other fingerprint stays.
+        assert store.load_measures(second) == {"k1": _ENTRY}
+
+    def test_quarantine_works_on_a_database_from_before_the_fingerprint_column(
+        self, tmp_path
+    ):
+        store = SqliteStore(tmp_path)
+        execute_sql(store, "ALTER TABLE quarantine DROP COLUMN fingerprint")
+        store.close()
+        store = SqliteStore(tmp_path)  # adds the column back
+        store.merge_measures(_Registry("fingerprint-a"), {"k1": _ENTRY})
+        execute_sql(store, "UPDATE entries SET document = 'torn'")
+        assert store.load_measures(_Registry("fingerprint-a")) == {}
+        assert store.quarantine_rows() == [("measures", "k1", "corrupt-json")]
 
     def test_damaged_row_reads_as_miss_and_is_quarantined(self, tmp_path):
         store = SqliteStore(tmp_path)
         _engine, spec, result = warm_engine()
         store.store_job(result)
-        with store._connection:
-            store._connection.execute(
-                "UPDATE jobs SET document = ? WHERE key = ?",
-                ('{"version": 2, "torn', spec.key()),
-            )
+        execute_sql(
+            store,
+            "UPDATE jobs SET document = ? WHERE key = ?",
+            ('{"version": 2, "torn', spec.key()),
+        )
         assert store.load_job(spec.key()) is None
         rows = store.quarantine_rows()
         assert [(origin, reason) for origin, _key, reason in rows] == [
             ("jobs", "corrupt-json")
         ]
+
+    def test_job_row_under_a_foreign_key_is_quarantined(self, tmp_path):
+        store = SqliteStore(tmp_path)
+        _engine, spec, result = warm_engine()
+        store.store_job(result)
+        # A checksum-valid envelope filed under the wrong key.
+        execute_sql(
+            store,
+            "INSERT INTO jobs (key, document)"
+            " SELECT 'not-its-key', document FROM jobs WHERE key = ?",
+            (spec.key(),),
+        )
+        assert store.load_job("not-its-key") is None
+        assert store.quarantine_rows() == [("jobs", "not-its-key", "key-mismatch")]
+        assert store.job_count() == 1
+        assert store.load_job(spec.key()) is not None
+
+    def test_undecodable_job_result_is_quarantined(self, tmp_path):
+        store = SqliteStore(tmp_path)
+        document = json.dumps(seal_document({"result": {"status": "ok"}}))
+        execute_sql(
+            store, "INSERT INTO jobs (key, document) VALUES ('k', ?)", (document,)
+        )
+        assert store.load_job("k") is None
+        assert store.quarantine_rows() == [("jobs", "k", "undecodable-result")]
+        assert store.job_count() == 0
 
     def test_one_damaged_entry_does_not_hide_the_others(self, tmp_path):
         store = SqliteStore(tmp_path)
@@ -111,10 +182,9 @@ class TestSqliteStoreParity:
         victim = store._connection.execute(
             "SELECT key FROM entries WHERE kind = 'measures' LIMIT 1"
         ).fetchone()[0]
-        with store._connection:
-            store._connection.execute(
-                "UPDATE entries SET document = 'not json' WHERE key = ?", (victim,)
-            )
+        execute_sql(
+            store, "UPDATE entries SET document = 'not json' WHERE key = ?", (victim,)
+        )
         fresh = MeasureEngine()
         assert len(store.load_measures(fresh)) == len(entries) - 1
         assert store.quarantine_count == 1
@@ -128,11 +198,11 @@ class TestSqliteStoreParity:
         ).fetchone()[0]
         document = json.loads(row)
         document["result"]["status"] = "tampered"
-        with store._connection:
-            store._connection.execute(
-                "UPDATE jobs SET document = ? WHERE key = ?",
-                (json.dumps(document), spec.key()),
-            )
+        execute_sql(
+            store,
+            "UPDATE jobs SET document = ? WHERE key = ?",
+            (json.dumps(document), spec.key()),
+        )
         assert store.load_job(spec.key()) is None
         assert any(
             reason == "checksum-mismatch"
@@ -144,7 +214,8 @@ class TestSqliteStoreParity:
         engine, _spec, _result = warm_engine()
         entries = engine.export_cache_entries()
         store.merge_measures(engine, entries, run=1)
-        store.set_run_counter(10)
+        for _ in range(10):
+            store.begin_run()
         report = store.prune(min_age_runs=3)
         assert report.pruned.get("measures") == len(entries)
         # freshly touched entries survive the same cutoff
@@ -159,7 +230,8 @@ class TestSqliteStoreParity:
         entries = engine.export_cache_entries()
         store.merge_measures(engine, entries, run=1)
         touched = set(entries)
-        store.set_run_counter(9)
+        for _ in range(9):
+            store.begin_run()
         store.merge_measures(engine, {}, run=9, touched_keys=touched)
         report = store.prune(min_age_runs=3)
         assert report.pruned.get("measures", 0) == 0
@@ -176,73 +248,14 @@ class TestSqliteStoreParity:
         assert second.load_job(result.key) is not None
 
 
-class TestMigration:
-    def test_round_trip_preserves_persistent_hits(self, tmp_path):
-        cache, spec, result = populated_json_cache(tmp_path)
-        json_entries = cache.load_measures(MeasureEngine())
-        report = migrate_store(tmp_path)
-        assert report.jobs == 1
-        assert report.entries.get("measures") == len(json_entries)
-        store = open_store(tmp_path)
-        assert isinstance(store, SqliteStore)
-        # identical job hit, byte for byte
-        migrated = store.load_job(spec.key())
-        assert migrated is not None
-        assert migrated.to_json_line() == result.to_json_line()
-        # identical measure entries
-        assert store.load_measures(MeasureEngine()) == json_entries
-
-    def test_migration_removes_json_files_by_default(self, tmp_path):
-        populated_json_cache(tmp_path)
-        migrate_store(tmp_path)
-        assert not list(tmp_path.glob("measures-*.json"))
-        assert not (tmp_path / "jobs").exists()
-        assert not (tmp_path / "meta.json").exists()
-
-    def test_keep_json_leaves_the_shards(self, tmp_path):
-        populated_json_cache(tmp_path)
-        report = migrate_store(tmp_path, keep_json=True)
-        assert report.kept_json
-        assert list(tmp_path.glob("measures-*.json"))
-        assert sqlite_store_path(tmp_path).exists()
-
-    def test_migration_is_idempotent(self, tmp_path):
-        populated_json_cache(tmp_path)
-        first = migrate_store(tmp_path)
-        second = migrate_store(tmp_path)
-        assert second.jobs == 0
-        assert first.run_counter == second.run_counter
-
-    def test_migration_preserves_run_counter_and_touch_stamps(self, tmp_path):
-        cache, _spec, _result = populated_json_cache(tmp_path)
-        for _ in range(4):
-            cache.begin_run()
-        migrate_store(tmp_path)
-        store = SqliteStore(tmp_path)
-        assert store.run_counter() == 5
-        # entries were touched at run 1, so a 3-run cutoff prunes them
-        report = store.prune(min_age_runs=3)
-        assert report.pruned.get("measures", 0) > 0
-
-    def test_damaged_job_files_are_skipped_and_counted(self, tmp_path):
-        cache, spec, _result = populated_json_cache(tmp_path)
-        (cache.jobs_directory / f"{spec.key()}.json").write_text("{torn")
-        report = migrate_store(tmp_path)
-        assert report.skipped_jobs == 1
-        assert report.jobs == 0
-
-
 class TestWarmReruns:
-    def test_migrated_store_serves_a_batch_with_zero_recomputation(self, tmp_path):
+    def test_reopened_store_serves_a_batch_with_zero_recomputation(self, tmp_path):
         from repro.batch import table1_suite
 
         specs = table1_suite(depth=12)
         cold = run_batch(specs, cache=open_store(tmp_path))
-        migrate_store(tmp_path)
-        store = open_store(tmp_path)
-        assert isinstance(store, SqliteStore)
         warm_engine_ = MeasureEngine()
-        warm = run_batch(specs, cache=store, engine=warm_engine_)
+        warm = run_batch(specs, cache=open_store(tmp_path), engine=warm_engine_)
         assert [r.to_json_line() for r in warm.results] == [
             r.to_json_line() for r in cold.results
         ]
@@ -251,61 +264,149 @@ class TestWarmReruns:
 
 
 class TestDoctorAndPruneDiscovery:
-    def test_doctor_reports_cleanly_on_a_migrated_directory(self, tmp_path):
-        from repro.batch.doctor import diagnose
-
-        populated_json_cache(tmp_path)
-        migrate_store(tmp_path)
+    def test_doctor_reports_cleanly_on_a_populated_store(self, tmp_path):
+        populated_store(tmp_path)
         report = diagnose(tmp_path)
         assert report.exit_code == 0
-        assert report.counts["job_files"] == 1
+        assert report.findings == []
+        assert report.counts["job_rows"] == 1
         assert report.counts["measures_entries"] > 0
 
     def test_doctor_flags_database_damage(self, tmp_path):
-        from repro.batch.doctor import diagnose
-
-        populated_json_cache(tmp_path)
-        migrate_store(tmp_path)
-        store = SqliteStore(tmp_path)
-        with store._connection:
-            store._connection.execute("UPDATE jobs SET document = 'garbage'")
-        store._connection.close()
+        store, _spec, _result = populated_store(tmp_path)
+        execute_sql(store, "UPDATE jobs SET document = 'garbage'")
+        store.close()
         report = diagnose(tmp_path)
         assert report.exit_code == 1
         assert any(f.code == "corrupt-json" for f in report.errors)
 
     def test_doctor_flags_quarantined_rows(self, tmp_path):
-        from repro.batch.doctor import diagnose
-
         store = SqliteStore(tmp_path)
         _engine, spec, result = warm_engine()
         store.store_job(result)
-        with store._connection:
-            store._connection.execute("UPDATE jobs SET document = 'garbage'")
+        execute_sql(store, "UPDATE jobs SET document = 'garbage'")
         assert store.load_job(spec.key()) is None  # quarantines
         report = diagnose(tmp_path)
         assert report.exit_code == 1
         assert any(f.code == "quarantined" for f in report.errors)
 
-    def test_cli_prune_works_on_a_migrated_directory(self, tmp_path, capsys):
+    def test_doctor_flags_a_job_row_under_a_foreign_key(self, tmp_path):
+        store, spec, _result = populated_store(tmp_path)
+        execute_sql(
+            store,
+            "INSERT INTO jobs (key, document)"
+            " SELECT 'not-its-key', document FROM jobs WHERE key = ?",
+            (spec.key(),),
+        )
+        report = diagnose(tmp_path)
+        assert report.exit_code == 1
+        assert [f.code for f in report.errors] == ["key-mismatch"]
+        assert "jobs/not-its-key" in report.summary()
+
+    def test_doctor_warns_about_foreign_fingerprints(self, tmp_path):
+        store, _spec, _result = populated_store(tmp_path)
+        store.merge_sweeps(_Registry("other-fingerprint"), {"k": [1], "j": [2]})
+        report = diagnose(tmp_path)
+        assert report.exit_code == 0
+        foreign = [f for f in report.warnings if f.code == "foreign-fingerprint"]
+        assert len(foreign) == 1
+        assert foreign[0].message.startswith("2 sweeps row(s)")
+
+    def test_doctor_counts_sweep_frontiers_at_the_cap(self, tmp_path):
+        from repro.batch.doctor import _FRONTIER_CAP
+
+        def sweep_entry(boxes):
+            return ["lower", "undecided", 11, 2, False, 3, [0, 0, 0, 0, 0, [[0]] * boxes]]
+
+        store = SqliteStore(tmp_path)
+        store.merge_sweeps(
+            MeasureEngine(),
+            {"small": sweep_entry(3), "capped": sweep_entry(_FRONTIER_CAP), "bare": [0]},
+        )
+        report = diagnose(tmp_path)
+        assert report.exit_code == 0
+        assert report.counts["frontiers"] == 2
+        assert report.counts["frontier_boxes"] == 3 + _FRONTIER_CAP
+        assert report.counts["frontiers_at_cap"] == 1
+        assert any(f.code == "frontier-cap" for f in report.findings)
+
+    def test_cli_prune_works_on_a_populated_store(self, tmp_path, capsys):
         from repro.cli import main
 
-        populated_json_cache(tmp_path)
-        migrate_store(tmp_path)
+        populated_store(tmp_path)
         exit_code = main(
             ["batch", "prune", "--cache-dir", str(tmp_path), "--keep-runs", "5"]
         )
         assert exit_code == 0
         assert "pruned the persistent store" in capsys.readouterr().out
 
-    def test_store_flag_forces_a_backend(self, tmp_path):
-        from repro.config import ReproConfig
 
-        SqliteStore(tmp_path)
-        config = ReproConfig(cache_dir=str(tmp_path), store_backend="json")
-        assert isinstance(config.open_store(), BatchCache)
-        config = ReproConfig(cache_dir=str(tmp_path), store_backend="auto")
-        assert isinstance(config.open_store(), SqliteStore)
+def write_legacy_json_store(directory, results):
+    """The layout of the old sharded-JSON store, with *tampered* job results:
+    were the store to read any of it, a batch's output would change."""
+    jobs = directory / "jobs"
+    jobs.mkdir(parents=True)
+    for result in results:
+        record = result.to_cache_dict()
+        record["result"] = {"tampered": True}
+        (jobs / f"{result.key}.json").write_text(
+            json.dumps(seal_document({"result": record}))
+        )
+    fingerprint = MeasureEngine().registry_fingerprint()
+    for name in ("measures-00.json", "sweeps-3f.json", "frontiers-a1.json", "measures.json"):
+        (directory / name).write_text(
+            json.dumps(seal_document({"fingerprint": fingerprint, "entries": {}}))
+        )
+    (directory / "meta.json").write_text(json.dumps(seal_document({"run_counter": 7})))
+    (directory / "intent-measures-1-1.json").write_text("{}")
+
+
+class TestLegacyJsonDirectories:
+    """An old JSON-shard directory is reported by the doctor, never read."""
+
+    def test_doctor_names_the_leftover_files_without_creating_a_database(
+        self, tmp_path
+    ):
+        write_legacy_json_store(tmp_path, [warm_engine()[2]])
+        report = diagnose(tmp_path)
+        assert report.exit_code == 0
+        [finding] = report.warnings
+        assert finding.code == "legacy-json-store"
+        for name in (
+            "1 x measures-*.json",
+            "1 x sweeps-*.json",
+            "1 x frontiers-*.json",
+            "1 x intent-*.json",
+            "measures.json",
+            "meta.json",
+            "jobs/",
+        ):
+            assert name in finding.message
+        assert "ignored" in finding.message
+        assert not sqlite_store_path(tmp_path).exists()
+
+    def test_batch_over_a_legacy_directory_recomputes_byte_identically(
+        self, tmp_path, capsys
+    ):
+        from repro.batch import table2_suite
+        from repro.cli import main
+
+        legacy = tmp_path / "legacy"
+        write_legacy_json_store(legacy, run_batch(table2_suite(), jobs=1).results)
+        outputs = {}
+        for name, directory in (("legacy", legacy), ("empty", tmp_path / "empty")):
+            outputs[name] = tmp_path / f"{name}.jsonl"
+            code = main(
+                ["batch", "--suite", "table2", "--jobs", "1", "--cache-dir",
+                 str(directory), "--output", str(outputs[name])]
+            )
+            assert code == 0
+            assert "job cache        : 0 hits, 5 misses" in capsys.readouterr().out
+        assert outputs["legacy"].read_bytes() == outputs["empty"].read_bytes()
+        # The doctor keeps pointing at the leftovers next to the new database.
+        report = diagnose(legacy)
+        assert report.exit_code == 0
+        assert [f.code for f in report.warnings] == ["legacy-json-store"]
 
 
 class TestReadOnlyTolerance:
@@ -313,16 +414,16 @@ class TestReadOnlyTolerance:
         store = SqliteStore(tmp_path)
         _engine, spec, result = warm_engine()
         store.store_job(result)
-        with store._connection:
-            store._connection.execute("UPDATE jobs SET document = 'garbage'")
-        store._connection.close()
-        readonly = sqlite3.connect(
-            f"file:{sqlite_store_path(tmp_path)}?mode=ro", uri=True
-        )
+        execute_sql(store, "UPDATE jobs SET document = 'garbage'")
+        store.close()
+        readonly = SqliteStore(tmp_path, readonly=True)
         try:
-            fresh = SqliteStore(tmp_path)
-            fresh._connection.close()
-            fresh._connection = readonly
-            assert fresh.load_job(spec.key()) is None
+            assert readonly.load_job(spec.key()) is None
+            assert readonly.quarantine_count == 0
         finally:
             readonly.close()
+        connection = sqlite3.connect(sqlite_store_path(tmp_path))
+        try:
+            assert connection.execute("SELECT COUNT(*) FROM jobs").fetchone() == (1,)
+        finally:
+            connection.close()
