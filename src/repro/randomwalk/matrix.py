@@ -11,9 +11,10 @@ tests use as ground truth for the Thm. 5.4 criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 from repro.randomwalk.step_distribution import StepDistribution
 
@@ -48,33 +49,62 @@ class RandomWalkMatrix:
         pruned when their probability is exactly 0.  Because absorption
         probabilities are monotone in ``steps`` this is a lower bound on the
         true absorption probability.
+
+        An exact (all-``Fraction``) step distribution is iterated in integer
+        numerators over the common denominator ``D`` of its masses: after
+        ``k`` steps every probability is a multiple of ``D**-k``, so the
+        result is the same ``Fraction`` without a gcd per operation.
         """
         if start == 0:
             return Fraction(1)
-        distribution: Dict[int, Number] = {start: Fraction(1)}
-        absorbed: Number = Fraction(0)
+        weights, denominator = _common_denominator(self.step.mass)
+        distribution: Dict[int, Number] = {start: 1}
+        absorbed: Number = 0
+        scale = 1
         for _ in range(steps):
             if not distribution:
                 break
+            # Both the distribution and ``absorbed`` are kept over ``scale``.
+            absorbed = absorbed * denominator
+            scale *= denominator
             updated: Dict[int, Number] = {}
             for state, probability in distribution.items():
                 if probability == 0:
                     continue
                 # Success: every jump of size <= -state.
                 to_zero = sum(
-                    (mass for point, mass in self.step.mass if point <= -state),
-                    Fraction(0),
+                    (weight for point, weight in weights if point <= -state), 0
                 )
                 if to_zero:
                     absorbed = absorbed + probability * to_zero
-                for point, mass in self.step.mass:
+                for point, weight in weights:
                     target = state + point
                     if target <= 0:
                         continue
-                    updated[target] = updated.get(target, Fraction(0)) + probability * mass
+                    updated[target] = updated.get(target, 0) + probability * weight
                 # The missing mass transitions to bottom and is dropped.
             distribution = updated
+        if isinstance(absorbed, int):
+            return Fraction(absorbed, scale)
         return absorbed
+
+
+def _common_denominator(mass) -> Tuple[Tuple[Tuple[int, Number], ...], int]:
+    """``(point, weight)`` pairs and ``D`` with ``mass == weight / D``.
+
+    For all-``Fraction`` masses the weights are integers; otherwise the
+    masses are returned unchanged with ``D == 1`` (float arithmetic).
+    """
+    if not all(isinstance(probability, Fraction) for _, probability in mass):
+        return tuple(mass), 1
+    denominator = math.lcm(*(probability.denominator for _, probability in mass))
+    return (
+        tuple(
+            (point, probability.numerator * (denominator // probability.denominator))
+            for point, probability in mass
+        ),
+        denominator,
+    )
 
 
 def termination_probability(

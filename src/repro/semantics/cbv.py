@@ -35,6 +35,10 @@ from repro.spcf.syntax import (
 from repro.semantics.machine import RunResult, RunStatus, SPCFMachineError, StuckSignal
 from repro.semantics.traces import Trace
 
+# ``is_value`` inlined into the hot stepping loop: ``_step`` recurses once
+# per evaluation-context frame on every step.
+_VALUES = (Var, Numeral, Lam, Fix)
+
 
 class CbVMachine:
     """The call-by-value SPCF machine."""
@@ -51,10 +55,10 @@ class CbVMachine:
     def _step(self, term: Term, trace: Trace) -> Tuple[Term, Trace]:
         if isinstance(term, App):
             fn, arg = term.fn, term.arg
-            if not is_value(fn):
+            if not isinstance(fn, _VALUES):
                 new_fn, new_trace = self._step(fn, trace)
                 return App(new_fn, arg), new_trace
-            if isinstance(fn, (Lam, Fix)) and not is_value(arg):
+            if isinstance(fn, (Lam, Fix)) and not isinstance(arg, _VALUES):
                 new_arg, new_trace = self._step(arg, trace)
                 return App(fn, new_arg), new_trace
             if isinstance(fn, Lam):
@@ -66,7 +70,7 @@ class CbVMachine:
             cond = term.cond
             if isinstance(cond, Numeral):
                 return (term.then if cond.value <= 0 else term.orelse), trace
-            if is_value(cond):
+            if isinstance(cond, _VALUES):
                 raise StuckSignal(RunStatus.STUCK, "conditional guard is not a numeral")
             new_cond, new_trace = self._step(cond, trace)
             return If(new_cond, term.then, term.orelse), new_trace
@@ -74,7 +78,7 @@ class CbVMachine:
             for index, argument in enumerate(term.args):
                 if isinstance(argument, Numeral):
                     continue
-                if is_value(argument):
+                if isinstance(argument, _VALUES):
                     raise StuckSignal(
                         RunStatus.STUCK, f"primitive argument {index} is not a numeral"
                     )
@@ -98,7 +102,7 @@ class CbVMachine:
                 if argument.value < 0:
                     raise StuckSignal(RunStatus.SCORE_FAILED, "score of a negative value")
                 return argument, trace
-            if is_value(argument):
+            if isinstance(argument, _VALUES):
                 raise StuckSignal(RunStatus.STUCK, "score argument is not a numeral")
             new_argument, new_trace = self._step(argument, trace)
             return Score(new_argument), new_trace

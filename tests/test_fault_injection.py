@@ -22,6 +22,7 @@ from repro.batch import (
     diagnose,
     open_store,
     run_batch,
+    run_job,
     scan_results_jsonl,
     write_results_jsonl,
 )
@@ -250,6 +251,72 @@ class TestStoreFaults:
         assert report.counts["quarantined"] == 1
         assert any(finding.code == "quarantined" for finding in report.errors)
         assert report.exit_code == 1
+
+
+_ROW_KINDS = ("jobs", "measures", "sweeps", "frontiers")
+
+
+def _write_row(store, kind, engine, key="row-key"):
+    """Commit one ``kind`` row through the store's own write path; returns
+    the row's key."""
+    if kind == "jobs":
+        result = run_job(_specs()[0], engine)
+        store.store_job(result)
+        return result.key
+    merge = getattr(store, f"merge_{kind}")
+    merge(engine, {key: [["F", "1/2"], True, False, "interval"]})
+    return key
+
+
+def _read_row(store, kind, engine, key):
+    """The row read back through the store (``None`` on a miss)."""
+    if kind == "jobs":
+        return store.load_job(key)
+    return getattr(store, f"load_{kind}")(engine).get(key)
+
+
+class TestStoreFaultsPerKind:
+    """Both store faults fire on every row kind the store writes."""
+
+    @pytest.mark.parametrize("kind", _ROW_KINDS)
+    def test_torn_write_is_quarantined(self, tmp_path, monkeypatch, kind):
+        plan = _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match=f"{kind}/")])
+        engine = MeasureEngine()
+        store = open_store(tmp_path / "cache")
+        key = _write_row(store, kind, engine)
+        monkeypatch.delenv(ENV_VAR)
+        assert plan.fired_count(0) == 1
+        assert _read_row(store, kind, engine, key) is None
+        assert store.quarantined == [(f"{kind}/{key}", "corrupt-json")]
+        # Quarantined, not lost: the next read is an ordinary miss.
+        assert _read_row(store, kind, engine, key) is None
+        assert store.quarantine_count == 1
+
+    @pytest.mark.parametrize("kind", _ROW_KINDS)
+    def test_bit_flip_is_named_by_the_doctor(self, tmp_path, monkeypatch, kind):
+        _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match=f"{kind}/")])
+        engine = MeasureEngine()
+        cache_dir = tmp_path / "cache"
+        key = _write_row(open_store(cache_dir), kind, engine)
+        monkeypatch.delenv(ENV_VAR)
+        report = diagnose(cache_dir, engine=engine)
+        [damaged] = report.errors
+        assert damaged.code in ("corrupt-json", "checksum-mismatch", "missing-checksum")
+        assert f"{kind}/{key} " in damaged.message
+        assert report.exit_code == 1
+        assert _read_row(open_store(cache_dir), kind, engine, key) is None
+
+    def test_match_is_tested_against_kind_slash_key(self, tmp_path, monkeypatch):
+        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures/k2")])
+        engine = MeasureEngine()
+        store = open_store(tmp_path / "cache")
+        for key in ("k1", "k2", "k3"):
+            _write_row(store, "sweeps", engine, key)  # same keys, other kind
+            _write_row(store, "measures", engine, key)
+        monkeypatch.delenv(ENV_VAR)
+        assert set(store.load_sweeps(engine)) == {"k1", "k2", "k3"}
+        assert set(store.load_measures(engine)) == {"k1", "k3"}
+        assert store.quarantined == [("measures/k2", "corrupt-json")]
 
 
 class TestMergeDurability:

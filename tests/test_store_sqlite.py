@@ -385,6 +385,36 @@ class TestLegacyJsonDirectories:
         assert "ignored" in finding.message
         assert not sqlite_store_path(tmp_path).exists()
 
+    @pytest.mark.parametrize(
+        "leftover, named",
+        [
+            ("measures-00.json", "1 x measures-*.json"),
+            ("sweeps-3f.json", "1 x sweeps-*.json"),
+            ("frontiers-a1.json", "1 x frontiers-*.json"),
+            ("intent-measures-1-1.json", "1 x intent-*.json"),
+            ("measures.json", "measures.json"),
+            ("meta.json", "meta.json"),
+            ("jobs/", "jobs/"),
+            ("quarantine/", "quarantine/"),
+        ],
+    )
+    def test_each_leftover_is_named_on_its_own(self, tmp_path, leftover, named):
+        path = tmp_path / leftover.rstrip("/")
+        if leftover.endswith("/"):
+            path.mkdir()
+        else:
+            path.write_text("{}")
+        [finding] = diagnose(tmp_path).warnings
+        assert finding.code == "legacy-json-store"
+        assert f"ignored: {named};" in finding.message
+
+    def test_unrelated_files_are_not_named(self, tmp_path):
+        for name in ("results.jsonl", "notes.json", "measures-00.txt"):
+            (tmp_path / name).write_text("{}")
+        report = diagnose(tmp_path)
+        assert report.warnings == []
+        assert [finding.code for finding in report.findings] == ["no-database"]
+
     def test_batch_over_a_legacy_directory_recomputes_byte_identically(
         self, tmp_path, capsys
     ):
