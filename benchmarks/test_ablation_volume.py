@@ -10,7 +10,7 @@ reports accuracy against the closed form alongside the timings.
 
 import pytest
 
-from repro.geometry import MeasureOptions, measure_constraints, monte_carlo_measure
+from repro.geometry import measure_constraints, monte_carlo_measure, sweep_measure
 from repro.symbolic import Constraint, ConstraintSet, Relation
 from repro.symbolic.values import ConstVal, PrimVal, SampleVar
 
@@ -44,10 +44,9 @@ def test_oracle_polytope(benchmark):
 
 def test_oracle_sweep(benchmark):
     constraints = _constraints()
-    options = MeasureOptions(prefer_sweep=True, sweep_depth=16)
-    result = benchmark(measure_constraints, constraints, 4, options)
-    print(f"\n[A1] sweep oracle (certified lower bound): {float(result.value):.6f} (true {_TRUE:.6f})")
-    assert 0 < float(result.value) <= _TRUE
+    result = benchmark(sweep_measure, constraints, 4, 16, use_kernel=True)
+    print(f"\n[A1] sweep oracle (certified lower bound): {float(result.lower):.6f} (true {_TRUE:.6f})")
+    assert 0 < float(result.lower) <= _TRUE
 
 
 def test_oracle_monte_carlo(benchmark):

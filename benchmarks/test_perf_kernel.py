@@ -3,10 +3,11 @@
 The workload is the non-affine retry library at a deepened sweep budget
 (``sweep_depth=18``): deep enough that classification dominates the
 refinement loop, which is exactly the regime the chunked kernel targets.
-Every program's lower bound is computed twice per round -- once with
-``--no-sweep-kernel`` (the scalar loop) and once with the default kernel
-pipeline -- and the faster of three rounds counts, so scheduler noise
-cannot manufacture a regression.
+Every program's lower bound is computed twice per round -- once on the
+scalar loop (the kernel module's numpy handle set to ``None``, the
+supported numpy-less fallback) and once with the default kernel pipeline
+-- and the faster of three rounds counts, so scheduler noise cannot
+manufacture a regression.
 
 Asserted:
 
@@ -33,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.geometry import MeasureEngine, MeasureOptions
+from repro.geometry import kernel as kernel_module
 from repro.geometry.kernel import kernel_available
 from repro.lowerbound import LowerBoundEngine
 from repro.programs.extra import nonaffine_programs
@@ -46,24 +48,30 @@ _TERM_DEPTH = 35
 _ROUNDS = 3
 
 
-def _run(program, use_kernel):
-    """One cold lower-bound run; returns (result, stats, elapsed_seconds)."""
-    options = MeasureOptions(sweep_depth=_SWEEP_DEPTH, sweep_kernel=use_kernel)
+def _run(program, monkeypatch, use_kernel):
+    """One cold lower-bound run; returns (result, stats, elapsed_seconds).
+
+    The scalar side unsets the kernel module's numpy handle for the run.
+    """
+    options = MeasureOptions(sweep_depth=_SWEEP_DEPTH)
     engine = MeasureEngine(options, cache_enabled=False)
     lower = LowerBoundEngine(strategy=program.strategy, measure_engine=engine)
-    started = time.perf_counter()
-    result = lower.lower_bound(program.applied, max_steps=_TERM_DEPTH)
-    return result, engine.stats, time.perf_counter() - started
+    with monkeypatch.context() as patch:
+        if not use_kernel:
+            patch.setattr(kernel_module, "_np", None)
+        started = time.perf_counter()
+        result = lower.lower_bound(program.applied, max_steps=_TERM_DEPTH)
+        return result, engine.stats, time.perf_counter() - started
 
 
 @pytest.mark.skipif(not kernel_available(), reason="numpy is unavailable")
-def test_kernel_triples_sweep_throughput():
+def test_kernel_triples_sweep_throughput(monkeypatch):
     rows = {}
     for name, program in sorted(nonaffine_programs().items()):
         best = {}
         for label, use_kernel in (("scalar", False), ("kernel", True)):
             for _ in range(_ROUNDS):
-                result, stats, elapsed = _run(program, use_kernel)
+                result, stats, elapsed = _run(program, monkeypatch, use_kernel)
                 record = best.get(label)
                 if record is None or elapsed < record["elapsed"]:
                     best[label] = {

@@ -4,24 +4,23 @@ The workload is the non-affine retry library (``sig-retry``,
 ``square-retry``, ``sig-sum-retry``): every path constraint set of these
 programs needs the certified subdivision sweep, since ``sig``/``mul``-of-
 samples admit no affine half-space form.  Each program's lower bound is
-computed three ways:
+computed two ways:
 
-* **joint-uncached** -- ``block_sweep=False`` with the memo disabled: the
-  historical full-dimensional fixed-depth sweep,
-* **joint** -- ``block_sweep=False`` with the memo enabled: must be
-  *bit-identical* to joint-uncached (the ``--no-block-sweep`` guarantee),
+* **joint** -- the historical full-dimensional fixed-depth sweep: a small
+  engine local to this benchmark memoizes canonical whole sets and hands
+  each one to the :func:`measure_constraints` facade, which sweeps a
+  non-affine set jointly (the measure engine before per-block sweeping),
 * **block** -- the default engine: per-block sweeping with the position-
   independent sweep memo.
 
 Asserted (deterministically, so it can run in CI):
 
-* joint and joint-uncached agree bit-for-bit (probability, gap, paths),
 * the block bound is never below the joint bound (the per-block product
   provably tightens at equal budget) and the certified measure gap never
   grows,
 * across the multi-block programs, the block engine examines at least
   ``4x`` fewer sweep boxes than the joint engine,
-* a warm rerun seeded from the persistent ``sweeps-<prefix>.json`` store
+* a warm rerun seeded from the persistent store's ``sweeps`` rows
   performs **zero** base sweep computations and reproduces the cold bounds
   byte-for-byte.
 
@@ -39,7 +38,7 @@ from pathlib import Path
 from repro.batch import open_store, run_batch
 from repro.batch.jobs import decode_number
 from repro.batch.suites import sweep_suite
-from repro.geometry import MeasureEngine, MeasureOptions
+from repro.geometry import MeasureEngine, PerfStats, measure_constraints
 from repro.lowerbound import LowerBoundEngine
 from repro.programs.extra import nonaffine_programs
 
@@ -48,10 +47,39 @@ _BOX_REDUCTION_FLOOR = 4.0
 _DEPTH = 35
 
 
-def _bound(program, options=None, cache_enabled=True, engine=None):
+class _JointSweepEngine:
+    """Whole-set memo over the facade: every non-affine set is swept jointly
+    in its full cube.  Affine sets measure exactly either way."""
+
+    def __init__(self):
+        engine = MeasureEngine()
+        self.options = engine.options
+        self.registry = engine.registry
+        self.stats = PerfStats()
+        self._canonicalize = engine.canonicalize
+        self._memo = {}
+
+    def measure(self, constraints, dimension, argument=None):
+        canonical = self._canonicalize(constraints)
+        key = (canonical.constraints, dimension, argument)
+        result = self._memo.get(key)
+        if result is None:
+            result = measure_constraints(
+                canonical,
+                dimension,
+                self.options,
+                self.registry,
+                argument=argument,
+                stats=self.stats,
+            )
+            self._memo[key] = result
+        return result
+
+
+def _bound(program, engine=None):
     """One lower-bound run; returns (result, engine, elapsed_seconds)."""
     if engine is None:
-        engine = MeasureEngine(options, cache_enabled=cache_enabled)
+        engine = MeasureEngine()
     lower = LowerBoundEngine(strategy=program.strategy, measure_engine=engine)
     started = time.perf_counter()
     result = lower.lower_bound(program.applied, max_steps=_DEPTH)
@@ -59,25 +87,11 @@ def _bound(program, options=None, cache_enabled=True, engine=None):
 
 
 def test_block_sweep_cuts_boxes_and_tightens_bounds():
-    joint_options = MeasureOptions(block_sweep=False)
     rows = {}
     cold_bounds = {}
     for name, program in sorted(nonaffine_programs().items()):
-        uncached, uncached_engine, _ = _bound(
-            program, joint_options, cache_enabled=False
-        )
-        joint, joint_engine, joint_elapsed = _bound(program, joint_options)
+        joint, joint_engine, joint_elapsed = _bound(program, _JointSweepEngine())
         block, block_engine, block_elapsed = _bound(program)
-
-        # The --no-block-sweep path must reproduce the historical sweep
-        # bit-for-bit, cached or not.
-        assert joint.probability == uncached.probability, name
-        assert joint.measure_gap == uncached.measure_gap, name
-        assert joint.path_count == uncached.path_count, name
-        assert (
-            joint_engine.stats.sweep_boxes_examined
-            <= uncached_engine.stats.sweep_boxes_examined
-        ), name
 
         # Tightening: the per-block product never loses to the joint sweep
         # at equal budget, and the certified slack never grows.

@@ -29,15 +29,13 @@ program (as listed by ``list-programs``).
 
 The measuring commands build one shared
 :class:`~repro.geometry.engine.MeasureEngine` per invocation, so every
-analysis a command runs draws from a single memoized measure cache; pass
-``--no-measure-cache`` to disable memoization (results are bit-identical,
-only slower), ``--no-block-memo`` to memoize whole sets without the
-block decomposition, and ``--stats`` to print the engine's
+analysis a command runs draws from a single memoized, block-decomposed
+measure cache; pass ``--stats`` to print the engine's
 :class:`~repro.geometry.stats.PerfStats` counters after the run.
-Non-affine constraint sets are swept block by block by default, which
-tightens emitted lower bounds; ``--no-block-sweep`` restores the joint
-full-dimensional sweep, and ``--sweep-depth``, ``--sweep-gap`` and
-``--sweep-max-boxes`` tune the adaptive refinement budget.
+Non-affine constraint sets are swept block by block through the vectorized
+classification kernel where it applies; ``--sweep-depth``, ``--sweep-gap``
+and ``--sweep-max-boxes`` tune the adaptive refinement budget and
+``--contract`` narrows undecided boxes (all four change emitted bounds).
 ``python -m repro batch prune --cache-dir ... --keep-runs N`` garbage-
 collects persistent measure/sweep entries untouched for N runs.
 
@@ -110,8 +108,7 @@ def _measure_options(arguments: argparse.Namespace) -> MeasureOptions:
 
 
 def _measure_engine(arguments: argparse.Namespace) -> MeasureEngine:
-    """The per-command shared measure engine, honouring ``--no-measure-cache``,
-    ``--no-block-memo``, ``--no-block-sweep`` and the sweep budget flags."""
+    """The per-command shared measure engine, honouring the sweep flags."""
     return _config(arguments).measure_engine()
 
 
@@ -130,6 +127,26 @@ def _schedule_argument(text: str) -> Tuple[int, ...]:
             f"schedule must be non-empty, positive and non-decreasing, got {text!r}"
         )
     return schedule
+
+
+def _bounded_int(text: str, minimum: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """A step, depth or box budget: ``0`` is a (trivial) budget, ``-1`` is not."""
+    return _bounded_int(text, 0, "non-negative")
+
+
+def _positive_int(text: str) -> int:
+    """A sample count: an estimate from zero runs is no estimate."""
+    return _bounded_int(text, 1, "positive")
 
 
 def _target_gap_without_schedule(arguments: argparse.Namespace) -> bool:
@@ -880,25 +897,8 @@ def _add_fault_flags(subparser: argparse.ArgumentParser) -> None:
 def _add_measure_flags(subparser: argparse.ArgumentParser) -> None:
     """Flags shared by every command that measures constraint sets."""
     subparser.add_argument(
-        "--no-measure-cache",
-        action="store_true",
-        help="disable the shared memoizing measure engine (bit-identical, slower)",
-    )
-    subparser.add_argument(
-        "--no-block-memo",
-        action="store_true",
-        help="memoize whole constraint sets only, without the block "
-        "decomposition (bit-identical on the rational backend, slower)",
-    )
-    subparser.add_argument(
-        "--no-block-sweep",
-        action="store_true",
-        help="sweep non-affine constraint sets jointly instead of block by "
-        "block (restores the pre-block-sweep bounds: sound but looser)",
-    )
-    subparser.add_argument(
         "--sweep-depth",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="bisection depth budget of the certified subdivision sweep "
         "(default: 14)",
@@ -913,15 +913,9 @@ def _add_measure_flags(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--sweep-max-boxes",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="cap on boxes examined per sweep (default: unlimited)",
-    )
-    subparser.add_argument(
-        "--no-sweep-kernel",
-        action="store_true",
-        help="classify sweep boxes one at a time through the scalar loop "
-        "instead of the vectorized chunk kernel (bit-identical, slower)",
     )
     subparser.add_argument(
         "--contract",
@@ -989,7 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lower-bound", help="certified lower bound on the probability of termination"
     )
     lower.add_argument("program", help="surface-syntax program or library program name")
-    lower.add_argument("--depth", type=int, default=80, help="per-path step budget")
+    lower.add_argument(
+        "--depth", type=_non_negative_int, default=80, help="per-path step budget"
+    )
     lower.add_argument("--cbv", action="store_true", help="use call-by-value evaluation")
     lower.add_argument(
         "--cache-dir",
@@ -1013,8 +1009,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = subparsers.add_parser("estimate", help="Monte-Carlo estimate of Pterm")
     estimate.add_argument("--program", required=True)
-    estimate.add_argument("--runs", type=int, default=2000)
-    estimate.add_argument("--max-steps", type=int, default=20_000)
+    estimate.add_argument("--runs", type=_positive_int, default=2000)
+    estimate.add_argument("--max-steps", type=_non_negative_int, default=20_000)
     estimate.add_argument(
         "--seed",
         type=int,
@@ -1030,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.set_defaults(handler=_command_estimate)
 
     table1 = subparsers.add_parser("table1", help="regenerate Table 1 (lower bounds)")
-    table1.add_argument("--depth", type=int, default=50)
+    table1.add_argument("--depth", type=_non_negative_int, default=50)
     _add_measure_flags(table1)
     _add_batch_flags(table1)
     _add_fault_flags(table1)
@@ -1063,7 +1059,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a named evaluation suite instead of a job file",
     )
     batch.add_argument(
-        "--depth", type=int, default=50, help="depth for the suite's lower-bound jobs"
+        "--depth",
+        type=_non_negative_int,
+        default=50,
+        help="depth for the suite's lower-bound jobs",
     )
     batch.add_argument(
         "--jobs",
@@ -1278,7 +1277,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser(
         "report", help="regenerate all evaluation tables as markdown"
     )
-    report.add_argument("--depth", type=int, default=50)
+    report.add_argument("--depth", type=_non_negative_int, default=50)
     _add_measure_flags(report)
     _add_batch_flags(report)
     _add_schedule_flags(report)

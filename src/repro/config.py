@@ -1,9 +1,8 @@
 """``ReproConfig``: one object for every knob the CLI, batch and daemon share.
 
-Seven PRs accreted flags in layers -- measure-engine toggles, sweep budgets,
-anytime schedules, batch fan-out, store location, fault
-tolerance, tracing -- each parsed ad hoc off an ``argparse.Namespace`` by a
-scattering of ``_measure_options`` / ``_batch_cache`` / ``_retry_policy``
+Flags accreted in layers -- sweep budgets, anytime schedules, batch
+fan-out, store location, fault tolerance, tracing -- each parsed ad hoc
+off an ``argparse.Namespace`` by a scattering of ``_measure_options`` / ``_batch_cache`` / ``_retry_policy``
 helpers.  This module consolidates that surface into a single frozen
 dataclass with one precedence rule:
 
@@ -43,15 +42,8 @@ class ReproConfig:
     """Every shared knob of a measuring command, with library defaults."""
 
     # -- measure engine --------------------------------------------------------
-    measure_cache: bool = True
-    """``--no-measure-cache`` disables the memoizing engine (slower, identical)."""
-
-    block_memo: bool = True
-    """``--no-block-memo`` memoizes whole sets without block decomposition."""
-
-    block_sweep: bool = True
-    """``--no-block-sweep`` restores the joint non-affine sweep (looser)."""
-
+    # Every field here changes computed values; the engine's speed features
+    # (memo, block decomposition, block sweep, kernel) are always on.
     sweep_depth: Optional[int] = None
     """``--sweep-depth``: bisection budget (None = library default)."""
 
@@ -60,10 +52,6 @@ class ReproConfig:
 
     sweep_max_boxes: Optional[int] = None
     """``--sweep-max-boxes``: cap on boxes per sweep."""
-
-    sweep_kernel: bool = True
-    """``--no-sweep-kernel`` restores the scalar classification loop
-    (bit-identical results, slower)."""
 
     contract: bool = False
     """``--contract`` runs the interval-Newton contractor on undecided boxes
@@ -136,13 +124,9 @@ class ReproConfig:
 
         schedule = flag("schedule")
         return cls(
-            measure_cache=not flag("no_measure_cache", False),
-            block_memo=not flag("no_block_memo", False),
-            block_sweep=not flag("no_block_sweep", False),
             sweep_depth=flag("sweep_depth"),
             sweep_gap=flag("sweep_gap"),
             sweep_max_boxes=flag("sweep_max_boxes"),
-            sweep_kernel=not flag("no_sweep_kernel", False),
             contract=flag("contract", False) or False,
             schedule=tuple(schedule) if schedule else None,
             target_gap=flag("target_gap"),
@@ -169,24 +153,18 @@ class ReproConfig:
             sweep_depth=(
                 defaults.sweep_depth if self.sweep_depth is None else self.sweep_depth
             ),
-            block_sweep=self.block_sweep,
             sweep_target_gap=(
                 defaults.sweep_target_gap if self.sweep_gap is None else self.sweep_gap
             ),
             sweep_max_boxes=self.sweep_max_boxes,
-            sweep_kernel=self.sweep_kernel,
             contract=self.contract,
         )
 
     def measure_engine(self):
-        """A fresh shared engine honouring the cache/memo/sweep knobs."""
+        """A fresh shared engine honouring the sweep knobs."""
         from repro.geometry.engine import MeasureEngine
 
-        return MeasureEngine(
-            options=self.measure_options(),
-            cache_enabled=self.measure_cache,
-            block_decomposition=self.block_memo,
-        )
+        return MeasureEngine(options=self.measure_options())
 
     def nondefault_engine(self) -> bool:
         """Whether any knob selects a non-default engine configuration.
@@ -195,13 +173,9 @@ class ReproConfig:
         and cached job results were computed under default options.
         """
         return (
-            not self.measure_cache
-            or not self.block_memo
-            or not self.block_sweep
-            or self.sweep_depth is not None
+            self.sweep_depth is not None
             or self.sweep_gap is not None
             or self.sweep_max_boxes is not None
-            or not self.sweep_kernel
             or self.contract
         )
 

@@ -21,16 +21,15 @@ the refutation measures one pattern per sample argument.  A
   block measures.  Two sets sharing a block -- even at different sample
   positions -- measure it once.  Decomposition is restricted to the regime
   where the product provably equals the monolithic computation (every
-  constraint affine, no free argument, no unresolved recursion marker, sweep
-  not forced); everything else takes the monolithic path unchanged,
+  constraint affine, no free argument, no unresolved recursion marker);
+  everything else takes the monolithic path unchanged,
 * *non-affine* sets (``sig``/``exp`` constraints) are block-decomposed too,
   but into *swept* blocks: each block runs its own certified subdivision
   sweep in ``[0,1]^{d_i}`` and the per-block ``[lower, upper]`` intervals
   combine as products, which provably tightens the lower bound against the
-  joint full-dimensional sweep at equal budget.  Because emitted (inexact)
-  bounds improve, this path is gated by
-  :attr:`~repro.geometry.measure.MeasureOptions.block_sweep` (default on;
-  the CLI's ``--no-block-sweep`` restores the joint sweep).  Per-block
+  joint full-dimensional sweep at equal budget.  Every sweep is offered
+  the vectorized classification kernel
+  (:mod:`repro.geometry.kernel`), which only changes speed.  Per-block
   :class:`~repro.geometry.sweep.SweepResult`\\ s are memoized under the
   position-independent canonical block key *plus the sweep budget* and
   persisted as the persistent store's ``sweeps`` entries, so a
@@ -48,11 +47,12 @@ the refutation measures one pattern per sample argument.  A
   block lookups, sweep boxes and polytope invocations for benchmarks and
   ``--stats``.
 
-Disabling the cache (``cache_enabled=False``, the CLI's
-``--no-measure-cache``) turns the engine into a counted pass-through with the
-same canonicalization *and the same block decomposition*, which is how the
-perf benchmark checks bit-identity; ``block_decomposition=False`` (the CLI's
-``--no-block-memo``) restores the whole-set-only memoization for ablations.
+Disabling the cache (``cache_enabled=False``) turns the engine into a
+counted pass-through with the same canonicalization *and the same block
+decomposition*.  It is the cold reference the perf benchmarks and the
+equivalence tests measure against: its counters show what every request
+costs without reuse.  A fresh cached engine per request does not reproduce
+them: identical blocks within one set would still be shared.
 
 Invariants
 ----------
@@ -137,6 +137,9 @@ class MeasureEngine:
 
     One engine instance is meant to be shared by every analysis of a session
     (the CLI builds one per command); all callers then draw from one cache.
+    ``cache_enabled=False`` builds the cold reference that benchmarks and
+    equivalence tests compare against: every request and every block is
+    computed afresh, with identical results.
     """
 
     def __init__(
@@ -145,12 +148,10 @@ class MeasureEngine:
         registry: Optional[PrimitiveRegistry] = None,
         cache_enabled: bool = True,
         stats: Optional[PerfStats] = None,
-        block_decomposition: bool = True,
     ) -> None:
         self.options = options or MeasureOptions()
         self.registry = registry or default_registry()
         self.cache_enabled = cache_enabled
-        self.block_decomposition = block_decomposition
         self.stats = stats if stats is not None else PerfStats()
         self._cache: Dict[_CacheKey, MeasureResult] = {}
         self._imported: Dict[str, MeasureResult] = {}
@@ -248,7 +249,7 @@ class MeasureEngine:
                 self._persistent_keys_used.add(persistent)
                 self._cache[key] = result
                 return result
-        blocks = self._decompose(canonical, argument) if self.block_decomposition else None
+        blocks = self._decompose(canonical, argument)
         if blocks is not None:
             result = self._measure_blocks(blocks)
             if self.cache_enabled:
@@ -318,16 +319,11 @@ class MeasureEngine:
 
         * no free argument is involved (engine-level or inside a constraint),
         * no constraint carries an unresolved recursion marker (``star``),
-        * the sweep is not forced (``prefer_sweep``),
         * every constraint has an affine half-space form, and
         * every constraint mentions at least one sample variable (constant
           constraints are rare and keep their historic monolithic handling).
         """
-        if (
-            argument is not None
-            or not canonical.constraints
-            or self.options.prefer_sweep
-        ):
+        if argument is not None or not canonical.constraints:
             return None
         blocks = self._decompositions.get(canonical.constraints)
         if blocks is None and canonical.constraints not in self._decompositions:
@@ -423,19 +419,12 @@ class MeasureEngine:
 
         The block-sweep path is taken exactly when the set could not go
         through the exact affine decomposition *because of non-affinity*: at
-        least one constraint has no half-space form, no free argument or
+        least one constraint has no half-space form, and no free argument or
         unresolved recursion marker is involved (those keep their historic
-        monolithic handling), the joint sweep is not forced
-        (``prefer_sweep``, the ablation knob), and ``block_sweep`` is on.
-        Fully affine sets never land here -- their machinery is exact and
+        monolithic handling).  Fully affine sets never land here -- their machinery is exact and
         must stay bit-identical.
         """
-        if (
-            argument is not None
-            or not canonical.constraints
-            or not self.options.block_sweep
-            or self.options.prefer_sweep
-        ):
+        if argument is not None or not canonical.constraints:
             return None
         key = canonical.constraints
         if key in self._sweep_decompositions:
@@ -622,7 +611,7 @@ class MeasureEngine:
         # the kernel cannot compile falls back silently and reports 0).
         kernel_token = (
             writer.begin("sweep-kernel", chunk=_SWEEP_KERNEL_CHUNK)
-            if writer is not None and options.sweep_kernel
+            if writer is not None
             else None
         )
         try:
@@ -636,7 +625,7 @@ class MeasureEngine:
                 max_boxes=options.sweep_max_boxes,
                 resume=resume,
                 collect_frontier=depth_budget_only,
-                use_kernel=options.sweep_kernel,
+                use_kernel=True,
                 contract=options.contract,
             )
         finally:
@@ -753,22 +742,22 @@ class MeasureEngine:
         """The deterministic cross-process cache key of one measure request.
 
         Every option that can change a computed value is rendered into the
-        key -- including the sweep budgets and ``block_sweep``, which change
-        emitted non-affine bounds -- so runs under different configurations
-        can share one store without ever serving each other's numbers.
+        key -- including the sweep budgets, which change emitted non-affine
+        bounds -- so runs under different configurations can share one store
+        without ever serving each other's numbers.
         """
         options = self.options
         return "|".join(
             [
                 ";".join(c.sort_key() for c in canonical.constraints),
                 f"d{dimension}",
-                f"o{options.max_hull_dimension}.{options.sweep_depth}.{int(options.prefer_sweep)}"
-                f".{int(options.block_sweep)}.{options.sweep_target_gap}"
-                f".{options.sweep_max_boxes}"
+                # ".0.1" held two retired switches (forced sweep off, block
+                # sweep on); it stays so existing stores keep their keys.
+                f"o{options.max_hull_dimension}.{options.sweep_depth}.0.1"
+                f".{options.sweep_target_gap}.{options.sweep_max_boxes}"
                 # The contractor changes emitted bounds, so it is keyed --
                 # but only when enabled, so every pre-contract store entry
-                # keeps its historic key.  ``sweep_kernel`` is deliberately
-                # absent: kernel results are bit-identical to scalar ones.
+                # keeps its historic key.
                 + (".c" if options.contract else ""),
                 f"a{argument!r}",
             ]
@@ -780,8 +769,8 @@ class MeasureEngine:
         """The cross-process key of one per-block sweep.
 
         Only the budget-bearing options participate: a sweep's outcome does
-        not depend on ``max_hull_dimension``, ``prefer_sweep`` or
-        ``block_sweep``, so entries stay shared across those configurations.
+        not depend on ``max_hull_dimension``, so entries stay shared across
+        hull settings.
         ``sweep_depth`` overrides the engine's own depth budget -- the
         warm-start probe renders the keys shallower budgets would have
         written under, without needing an engine per budget.
@@ -801,8 +790,7 @@ class MeasureEngine:
             sweep_depth = options.sweep_depth
         return (
             f"|s{sweep_depth}.{options.sweep_target_gap}.{options.sweep_max_boxes}"
-            # Keyed only when enabled (see :meth:`persistent_key`); the
-            # kernel never appears here -- its results are bit-identical.
+            # Keyed only when enabled (see :meth:`persistent_key`).
             + (".c" if options.contract else "")
         )
 

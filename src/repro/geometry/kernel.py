@@ -108,9 +108,8 @@ def require_numpy():
     if _np is None:
         raise RuntimeError(
             "the vectorized sweep kernel requires numpy, which is a declared "
-            "install requirement of this package (pip install numpy); pass "
-            "--no-sweep-kernel / MeasureOptions(sweep_kernel=False) to use "
-            "the scalar sweep without it"
+            "install requirement of this package (pip install numpy); without "
+            "it every sweep falls back to the scalar loop automatically"
         )
     return _np
 

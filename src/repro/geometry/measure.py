@@ -9,7 +9,16 @@ constraint set inside the unit cube:
   measured exactly with rational arithmetic, multivariate blocks up to a
   configurable dimension with the polytope oracle, and larger blocks with the
   certified subdivision sweep,
-* non-affine constraint sets fall back to the sweep (sound lower bound).
+* non-affine constraint sets fall back to one joint sweep over the whole
+  cube (sound lower bound).  The memoizing
+  :class:`~repro.geometry.engine.MeasureEngine` sweeps the variable blocks
+  of such a set one by one instead; it hands a non-affine set over whole
+  only when a free argument or an unresolved recursion marker is involved.
+
+Every sweep is offered the vectorized classification kernel; whether a set
+actually uses it is decided inside :func:`~repro.geometry.sweep.sweep_measure`
+(numpy present, warm-up passed, set compiles), and either way the result is
+bit-identical.
 
 The result records whether the returned value is exact or only a certified
 lower bound, so callers (in particular the lower-bound engine, whose whole
@@ -53,42 +62,19 @@ class MeasureOptions:
     sweep_depth: int = 14
     """Bisection depth of the certified sweep fallback."""
 
-    prefer_sweep: bool = False
-    """Force the sweep even for affine constraint sets (used by ablations)."""
-
-    block_sweep: bool = True
-    """Sweep non-affine sets block by block instead of jointly.
-
-    Each connected variable block is swept in its own ``[0,1]^{d_i}`` box and
-    the bounds combine as interval products, which provably tightens lower
-    bounds at equal depth budget -- emitted (inexact) bounds therefore
-    *change* when toggling this, unlike every other cache knob.  The CLI's
-    ``--no-block-sweep`` restores the joint sweep.
-    """
-
     sweep_target_gap: Number = Fraction(0)
     """Stop refining once the undecided volume is at most this (0 = never)."""
 
     sweep_max_boxes: Optional[int] = None
     """Cap on boxes examined per sweep (``None`` = depth budget only)."""
 
-    sweep_kernel: bool = True
-    """Classify sweep boxes in chunks through the vectorized numpy kernel.
-
-    The kernel is a pure classifier whose results are bit-identical to the
-    scalar path (see :mod:`repro.geometry.sweep`), so this knob -- unlike
-    ``block_sweep`` -- never changes a computed value and is deliberately
-    *excluded* from persistent store keys.  ``--no-sweep-kernel`` restores
-    the scalar loop; sets the kernel cannot compile fall back per set.
-    """
-
     contract: bool = False
     """Run the interval-Newton / monotonicity contractor on undecided boxes.
 
     Contraction certifiably tightens bounds at equal box budget, so emitted
-    (inexact) values *change* when toggled -- like ``block_sweep`` it is a
-    result-changing knob, keyed into the persistent stores (only when
-    enabled, so legacy entries stay valid) and re-blessed in benchmarks.
+    (inexact) values *change* when toggled -- a result-changing knob, keyed
+    into the persistent stores (only when enabled, so legacy entries stay
+    valid) and re-blessed in benchmarks.
     """
 
 
@@ -149,7 +135,7 @@ def measure_constraints(
         return MeasureResult(Fraction(0), exact=False, lower_bound=True, method="unknown-star")
 
     halfspaces = None
-    if not options.prefer_sweep and argument is None and not constraints.contains_argument():
+    if argument is None and not constraints.contains_argument():
         halfspaces = halfspaces_from_constraints(constraints, registry)
 
     if halfspaces is None:
@@ -164,7 +150,7 @@ def measure_constraints(
             stats=stats,
             target_gap=options.sweep_target_gap,
             max_boxes=options.sweep_max_boxes,
-            use_kernel=options.sweep_kernel,
+            use_kernel=True,
             contract=options.contract,
         )
         exact = sweep.undecided == 0
@@ -245,7 +231,7 @@ def _measure_block(variables, halfspaces, constraints, options, registry, stats=
         stats=stats,
         target_gap=options.sweep_target_gap,
         max_boxes=options.sweep_max_boxes,
-        use_kernel=options.sweep_kernel,
+        use_kernel=True,
         contract=options.contract,
     )
     exact = sweep.undecided == 0

@@ -110,7 +110,10 @@ def estimate_termination(
     ``machine`` defaults to the call-by-value machine, matching the semantics
     under which the paper's AST verification examples are stated; pass a
     :class:`CbNMachine` to estimate the call-by-name probability instead.
+    ``runs`` must be positive: zero samples support no estimate.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be positive (got {runs}): no samples, no estimate")
     machine = machine or CbVMachine()
     rng = random.Random(seed)
     terminated = 0
@@ -122,10 +125,10 @@ def estimate_termination(
             terminated += 1
             total_steps += result.steps
             total_samples += result.samples_used
-    probability = terminated / runs if runs else 0.0
+    probability = terminated / runs
     mean_steps = total_steps / terminated if terminated else None
     mean_samples = total_samples / terminated if terminated else None
-    stderr = math.sqrt(max(probability * (1 - probability), 1e-12) / runs) if runs else 0.0
+    stderr = math.sqrt(max(probability * (1 - probability), 1e-12) / runs)
     return TerminationEstimate(
         runs=runs,
         terminated=terminated,

@@ -93,6 +93,15 @@ class TestRunJob:
         assert result.error
         assert result.payload is None
 
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_estimate_without_runs_is_a_job_exception(self, runs):
+        spec = JobSpec("gr", "estimate", {"runs": runs, "max_steps": 100})
+        result = run_job(spec)
+        assert result.status == "error"
+        assert result.error_kind == "job-exception"
+        assert "runs must be positive" in result.error
+        assert result.payload is None
+
 
 class TestRunBatch:
     def test_same_batch_twice_is_bit_identical_with_high_hit_rate(self, tmp_path):
@@ -668,13 +677,15 @@ class TestSweepStoreAndPrune:
         cache = open_store(tmp_path)
         specs = sweep_suite(depth=20)
         default_report = run_batch(specs, jobs=1, cache=cache)
-        # The joint-sweep engine computes different (looser) bounds, so it
+        # A shallower sweep budget computes different (looser) bounds, so it
         # must not replay job results cached under the default options.
-        joint = MeasureEngine(MeasureOptions(block_sweep=False))
-        joint_report = run_batch(specs, jobs=1, cache=cache, engine=joint)
-        assert joint_report.cache_hits == 0
-        assert not any(result.cached for result in joint_report.results)
-        assert jsonl_lines(joint_report.results) != jsonl_lines(default_report.results)
+        shallow = MeasureEngine(MeasureOptions(sweep_depth=10))
+        shallow_report = run_batch(specs, jobs=1, cache=cache, engine=shallow)
+        assert shallow_report.cache_hits == 0
+        assert not any(result.cached for result in shallow_report.results)
+        assert jsonl_lines(shallow_report.results) != jsonl_lines(
+            default_report.results
+        )
         # The default configuration still replays its own cached results.
         warm = run_batch(specs, jobs=1, cache=cache)
         assert warm.cache_hits == len(specs)

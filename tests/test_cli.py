@@ -124,6 +124,29 @@ def test_lower_bound_rejects_a_decreasing_schedule(capsys):
         main(["lower-bound", "geo(1/2)", "--schedule", "40,20"])
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["lower-bound", "gr", "--depth", "-3"], "--depth"),
+        (["lower-bound", "sig-retry(7/10)", "--sweep-depth", "-1"], "--sweep-depth"),
+        (
+            ["lower-bound", "sig-retry(7/10)", "--sweep-max-boxes", "-1"],
+            "--sweep-max-boxes",
+        ),
+        (["estimate", "--program", "gr", "--max-steps", "-1"], "--max-steps"),
+        (["estimate", "--program", "gr", "--runs", "0"], "--runs"),
+    ],
+    ids=["depth", "sweep-depth", "sweep-max-boxes", "max-steps", "runs"],
+)
+def test_out_of_range_numeric_flags_are_usage_errors(command, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: must be" in captured.err
+    assert captured.out == ""
+
+
 def test_batch_schedule_on_a_depthless_suite_is_a_clean_error(capsys):
     assert main(["batch", "--suite", "table2", "--schedule", "10,20"]) == 2
     assert "no depth axis" in capsys.readouterr().err

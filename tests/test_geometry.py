@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import (
-    MeasureOptions,
     halfspaces_from_constraints,
     independent_blocks,
     measure_constraints,
@@ -187,13 +186,12 @@ class TestMeasureFacade:
         # True measure is 1/4 (1 + ln 4) ~ 0.5966; the sweep lower-bounds it.
         assert 0.5 < float(result.value) <= 0.597
 
-    def test_prefer_sweep_option(self):
+    def test_sweep_lower_bounds_an_affine_set_exactly(self):
         constraints = ConstraintSet([_le(_minus(SampleVar(0), HALF))])
-        result = measure_constraints(
-            constraints, 1, options=MeasureOptions(prefer_sweep=True)
-        )
-        assert result.method == "sweep"
-        assert result.value == Fraction(1, 2)
+        result = sweep_measure(constraints, 1, max_depth=14)
+        assert result.lower == Fraction(1, 2)
+        # Only the deepest box touching the boundary stays undecided.
+        assert result.undecided == Fraction(1, 2**14)
 
     def test_star_constraints_measure_zero(self):
         from repro.symbolic.values import StarVal

@@ -341,7 +341,7 @@ def test_missing_numpy_falls_back_to_the_scalar_path(monkeypatch):
     expected = sweep_measure(constraints, 1, max_depth=6)
     monkeypatch.setattr(kernel_module, "_np", None)
     assert compile_constraint_set(constraints) is None
-    with pytest.raises(RuntimeError, match="no-sweep-kernel"):
+    with pytest.raises(RuntimeError, match="falls back to the scalar loop"):
         kernel_module.require_numpy()
     stats = PerfStats()
     fallback = sweep_measure(
@@ -458,24 +458,25 @@ def test_contraction_tightens_library_lower_bounds():
     assert strictly_tighter >= 2
 
 
-# -- engine-level byte-identity of the kernel flag ----------------------------
+# -- engine-level byte-identity of kernel and scalar classification ----------
 
 
-def _job_line(options):
-    engine = MeasureEngine(options=options)
+def _job_line():
+    engine = MeasureEngine()
     spec = JobSpec(
         program="sig-sum-retry(1)", analysis="lower-bound", params={"depth": 25}
     )
     return run_job(spec, engine).to_json_line(), engine
 
 
-def test_job_records_are_byte_identical_without_the_kernel():
-    """--no-sweep-kernel must reproduce the kernel pipeline's job records
-    byte for byte (the kernel only classifies; it never accumulates).
-    The program is non-affine, so the bound really comes from the sweep
-    and the kernel engine really runs batches."""
-    with_kernel, kernel_engine = _job_line(MeasureOptions())
-    without_kernel, scalar_engine = _job_line(MeasureOptions(sweep_kernel=False))
+def test_job_records_are_byte_identical_without_the_kernel(monkeypatch):
+    """The numpy-less scalar fallback must reproduce the kernel pipeline's
+    job records byte for byte (the kernel only classifies; it never
+    accumulates).  The program is non-affine, so the bound really comes
+    from the sweep and the kernel engine really runs batches."""
+    with_kernel, kernel_engine = _job_line()
+    monkeypatch.setattr(kernel_module, "_np", None)
+    without_kernel, scalar_engine = _job_line()
     assert with_kernel == without_kernel
     assert scalar_engine.stats.kernel_batches == 0
     assert kernel_engine.stats.kernel_batches > 0

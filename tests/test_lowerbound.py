@@ -6,6 +6,7 @@ import pytest
 
 from repro.geometry.measure import MeasureOptions
 from repro.lowerbound import LowerBoundEngine, lower_bound
+from repro.programs.extra import nonaffine_programs
 from repro.programs import (
     geometric,
     golden_ratio,
@@ -187,11 +188,22 @@ class TestEngineBehaviour:
         assert not result.exhaustive
         assert result.path_count <= 10
 
-    def test_prefer_sweep_still_produces_sound_bounds(self):
-        engine = LowerBoundEngine(measure_options=MeasureOptions(prefer_sweep=True, sweep_depth=8))
-        sweep_bound = engine.lower_bound(geometric(Fraction(1, 2)).applied, max_steps=40)
-        exact_bound = lower_bound(geometric(Fraction(1, 2)).applied, max_steps=40)
-        assert sweep_bound.probability <= exact_bound.probability
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_monte_carlo_estimate_needs_a_positive_run_count(self, runs):
+        with pytest.raises(ValueError, match="runs must be positive"):
+            estimate_termination(geometric(Fraction(1, 2)).applied, runs=runs)
+
+    def test_shallow_sweep_budget_still_produces_sound_bounds(self):
+        program = nonaffine_programs()["sig-retry(7/10)"]
+        shallow = LowerBoundEngine(
+            program.strategy, measure_options=MeasureOptions(sweep_depth=8)
+        ).lower_bound(program.applied, max_steps=35)
+        default = LowerBoundEngine(program.strategy).lower_bound(
+            program.applied, max_steps=35
+        )
+        assert not shallow.exact_measures
+        assert 0 < shallow.probability <= default.probability
+        assert float(default.probability) <= program.known_probability
 
     def test_summary_mentions_the_depth_and_path_count(self):
         result = lower_bound(geometric(Fraction(1, 2)).applied, max_steps=20)

@@ -41,6 +41,7 @@ from repro.programs import (
     table2_programs,
     three_print,
 )
+from repro.spcf import parse
 from repro.spcf.syntax import Numeral
 from repro.symbolic.constraints import Constraint, ConstraintSet, Relation
 from repro.symbolic.values import const, sample_var, simplify_prim
@@ -96,9 +97,6 @@ class TestMeasureEngine:
         assert disabled.measure(constraints, 2).value == direct.value
         assert disabled.stats.measure_calls == 2  # one per independent block
         assert disabled.cache_size == 0
-        monolithic = MeasureEngine(cache_enabled=False, block_decomposition=False)
-        assert monolithic.measure(constraints, 2).value == direct.value
-        assert monolithic.stats.measure_calls == 1
 
     def test_complement_rule_is_exact_and_counted(self):
         engine = MeasureEngine()
@@ -293,9 +291,52 @@ class TestSharedEngineAcrossAnalyses:
         assert first.probability == plain.probability
 
     def test_measure_options_flow_through_the_engine(self):
-        options = MeasureOptions(prefer_sweep=True, sweep_depth=6)
-        engine = MeasureEngine(options)
-        program = running_example(Fraction(3, 5))
-        result = verify_ast(program, engine=engine)
-        assert engine.stats.sweep_boxes_examined > 0
-        assert result.papprox is not None
+        program = parse("mu phi x. if sample * sample - 1/2 then x else phi x")
+        boxes = []
+        for depth in (4, 8):
+            engine = MeasureEngine(MeasureOptions(sweep_depth=depth))
+            result = verify_ast(program, engine=engine)
+            assert result.papprox is not None
+            boxes.append(engine.stats.sweep_boxes_examined)
+        assert 0 < boxes[0] < boxes[1]
+
+
+# -- persistent store keys ---------------------------------------------------------
+
+_HALF_GUARD = ConstraintSet(
+    [Constraint(simplify_prim("sub", [sample_var(0), const(Fraction(1, 2))]), Relation.LE)]
+)
+_SIG_GUARD = ConstraintSet(
+    [
+        Constraint(
+            simplify_prim(
+                "sub",
+                [simplify_prim("sig", [sample_var(0)]), const(Fraction(3, 5))],
+            ),
+            Relation.GT,
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "options, measure_key, sweep_key",
+    [
+        (
+            MeasureOptions(),
+            "(sub(a0, ConstVal(1/2)) <= 0)|d1|o8.14.0.1.0.None|aNone",
+            "(sub(sig(a0), ConstVal(3/5)) > 0)|d1|s14.0.None",
+        ),
+        (
+            MeasureOptions(sweep_depth=18, sweep_max_boxes=500),
+            "(sub(a0, ConstVal(1/2)) <= 0)|d1|o8.18.0.1.0.500|aNone",
+            "(sub(sig(a0), ConstVal(3/5)) > 0)|d1|s18.0.500",
+        ),
+    ],
+    ids=["default", "budget"],
+)
+def test_store_keys_are_pinned(options, measure_key, sweep_key):
+    """A drifted key would silently turn every existing store cold."""
+    engine = MeasureEngine(options)
+    assert engine.persistent_key(_HALF_GUARD, 1) == measure_key
+    assert engine.persistent_sweep_key(_SIG_GUARD, 1) == sweep_key

@@ -110,6 +110,17 @@ class TestDispatch:
                 dispatch(daemon, "measure", {"program": "mu phi x. ("})
             assert excinfo.value.code == protocol.ANALYSIS_ERROR
 
+    def test_estimate_without_runs_reports_an_error_not_a_verdict(self):
+        with in_process_daemon() as daemon:
+            response = dispatch(
+                daemon, "estimate", {"program": "gr", "runs": 0, "max_steps": 100}
+            )
+        job = response["job"]
+        assert job["status"] == "error"
+        assert job["error_kind"] == "job-exception"
+        assert "runs must be positive" in job["error"]
+        assert job["result"] is None
+
     def test_job_is_byte_identical_to_the_cli_pipeline(self):
         with in_process_daemon() as daemon:
             response = dispatch(
