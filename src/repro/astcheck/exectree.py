@@ -13,9 +13,10 @@ of the body ``M[(*)/x, mu/phi]`` of a recursive program ``mu phi x. M``:
   argument ``(*)`` (or a recursive outcome): the branch is resolved by the
   Environment player, not probabilistically (the "red" nodes of Fig. 6).
 
-The builder is the call-by-value symbolic executor of
-:mod:`repro.symbolic.execute`, with recursive calls cut off at ``mu`` nodes,
-so it terminates whenever one evaluation of the body terminates.
+The builder drives the call-by-value symbolic rule set of
+:mod:`repro.symbolic.execute` over the shared evaluation contexts of
+:mod:`repro.spcf.contexts`, with recursive calls cut off at ``mu`` nodes, so
+it terminates whenever one evaluation of the body terminates.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+from repro.spcf.contexts import Strategy, plug
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
 from repro.spcf.syntax import Fix, Term, substitute
 from repro.symbolic.execute import (
@@ -32,8 +34,6 @@ from repro.symbolic.execute import (
     StepScore,
     StepStuck,
     StepTerm,
-    StepValue,
-    Strategy,
     SymbolicStepper,
 )
 from repro.symbolic.values import ArgVal, SymNumeral, SymVal
@@ -265,11 +265,16 @@ def _build(
     towers of calls and branches (e.g. the ``nested`` program at large rank)
     produce trees far deeper than Python's recursion limit, so the tree is
     assembled bottom-up from two kinds of work item -- *expand* (step a term
-    to its next branching point) and *assemble* (pop finished children and
-    wrap them in their parent node).  Each expand item carries its own
-    remaining step budget, matching the budget split of the old recursive
-    builder exactly.
+    to its next node) and *assemble* (pop finished children and wrap them in
+    their parent node).  Each expand item carries its own remaining step
+    budget, matching the budget split of the old recursive builder exactly.
+    Expansion holds the evaluation context between steps: a node's first
+    child continues in it, and only the else-branch of a fork is plugged
+    into a term that waits on the work stack.
     """
+    refocus = stepper.contexts.refocus
+    values = stepper.contexts.values
+    contract = stepper.contract
     work: List[Tuple] = [("expand", term, next_variable, budget)]
     finished: List[ExecNode] = []
     while work:
@@ -279,6 +284,7 @@ def _build(
             finished.append(assemble(finished))
             continue
         _, term, next_variable, budget = item
+        frames: list = []
         steps = 0
         while True:
             if steps > budget:
@@ -286,25 +292,29 @@ def _build(
                     "the recursion body did not reach a value within the step "
                     "budget; it may diverge without making recursive calls"
                 )
-            outcome = stepper.step(term, next_variable)
-            if isinstance(outcome, StepValue):
+            redex = refocus(frames, term)
+            if isinstance(redex, values):
                 max_variables[0] = max(max_variables[0], next_variable)
-                finished.append(ExecLeaf(term))
+                finished.append(ExecLeaf(redex))
                 break
+            outcome = contract(redex, next_variable)
             if isinstance(outcome, StepTerm):
                 term = outcome.term
                 if outcome.consumed_sample:
                     next_variable += 1
                 steps += 1
                 continue
+            # A score, a recursive call or a fork starts a child node whose
+            # expansion gets the remaining budget; the first child continues
+            # here in the held context, which is what popping its expand item
+            # next would do.
             if isinstance(outcome, StepScore):
                 value = outcome.value
                 work.append(
                     ("assemble", lambda done, value=value: ExecScore(value, done.pop()))
                 )
-                work.append(("expand", outcome.term, next_variable, budget - steps))
-                break
-            if isinstance(outcome, StepRecCall):
+                term = outcome.term
+            elif isinstance(outcome, StepRecCall):
                 argument = outcome.argument
                 work.append(
                     (
@@ -312,9 +322,8 @@ def _build(
                         lambda done, argument=argument: ExecMu(argument, done.pop()),
                     )
                 )
-                work.append(("expand", outcome.term, next_variable, budget - steps))
-                break
-            if isinstance(outcome, StepBranch):
+                term = outcome.term
+            elif isinstance(outcome, StepBranch):
                 guard = outcome.guard
                 nondet = guard.contains_argument() or guard.contains_star()
                 kind = ExecNondetBranch if nondet else ExecProbBranch
@@ -325,15 +334,19 @@ def _build(
                     return kind(guard, then_child, else_child)
 
                 work.append(("assemble", assemble_branch))
-                # Popped in LIFO order: the then-branch expands first, so its
-                # result sits below the else-branch on the finished stack.
-                work.append(("expand", outcome.else_term, next_variable, budget - steps))
-                work.append(("expand", outcome.then_term, next_variable, budget - steps))
-                break
-            if isinstance(outcome, StepStuck):
+                # The then-branch expands first, so its result sits below the
+                # else-branch on the finished stack.
+                work.append(
+                    ("expand", plug(frames, outcome.else_term), next_variable, budget - steps)
+                )
+                term = outcome.then_term
+            elif isinstance(outcome, StepStuck):
                 finished.append(ExecStuck(outcome.reason))
                 break
-            raise TypeError(f"unexpected step outcome {outcome!r}")
+            else:
+                raise TypeError(f"unexpected step outcome {outcome!r}")
+            budget -= steps
+            steps = 0
     (root,) = finished
     return root
 

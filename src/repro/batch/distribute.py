@@ -52,6 +52,7 @@ import repro.telemetry as telemetry
 from repro.geometry.engine import MeasureEngine
 from repro.lowerbound.engine import LowerBoundEngine, LowerBoundSession
 from repro.programs.library import Program
+from repro.spcf.contexts import Strategy
 from repro.spcf.printer import pretty
 from repro.symbolic.codec import (
     CODEC_VERSION,
@@ -60,11 +61,7 @@ from repro.symbolic.codec import (
     session_counters,
     split_session,
 )
-from repro.symbolic.execute import (
-    FrontierCapError,
-    Strategy,
-    SymbolicExplorer,
-)
+from repro.symbolic.execute import FrontierCapError, SymbolicExplorer
 
 FRONTIER_FORMAT_VERSION = 1
 """Envelope version of persisted frontier entries (distinct from the codec

@@ -339,7 +339,7 @@ def _execute(spec: JobSpec, engine: MeasureEngine) -> Dict[str, Any]:
     params = spec.canonical_params()
     if spec.analysis == "lower-bound":
         from repro.lowerbound.engine import LowerBoundEngine
-        from repro.symbolic.execute import Strategy
+        from repro.spcf.contexts import Strategy
 
         strategy = program.strategy
         if params["strategy"] is not None:
@@ -358,7 +358,7 @@ def _execute(spec: JobSpec, engine: MeasureEngine) -> Dict[str, Any]:
         }
     if spec.analysis == "lower-bound-schedule":
         from repro.lowerbound.engine import LowerBoundEngine
-        from repro.symbolic.execute import Strategy
+        from repro.spcf.contexts import Strategy
 
         strategy = program.strategy
         if params["strategy"] is not None:

@@ -94,7 +94,7 @@ from repro.programs import resolve_program as _resolve_program
 from repro.report import full_report
 from repro.semantics import estimate_termination
 from repro.spcf import pretty, typecheck
-from repro.symbolic.execute import Strategy
+from repro.spcf.contexts import Strategy
 
 
 def _config(arguments: argparse.Namespace) -> ReproConfig:

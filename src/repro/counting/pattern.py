@@ -20,6 +20,7 @@ from repro.geometry.engine import MeasureEngine
 from repro.geometry.measure import MeasureOptions
 from repro.randomwalk.step_distribution import CountingDistribution
 from repro.semantics.traces import Trace
+from repro.spcf.contexts import Strategy, plug
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
 from repro.spcf.syntax import Fix, Numeral, Term, substitute
 from repro.symbolic.constraints import Constraint, ConstraintSet, Relation
@@ -30,8 +31,6 @@ from repro.symbolic.execute import (
     StepScore,
     StepStuck,
     StepTerm,
-    StepValue,
-    Strategy,
     SymbolicStepper,
 )
 from repro.counting.star_semantics import StarRunStatus, run_body
@@ -83,6 +82,8 @@ def enumerate_counting_paths(
     """
     registry = registry or default_registry()
     stepper = SymbolicStepper(Strategy.CBV, registry)
+    refocus = stepper.contexts.refocus
+    values = stepper.contexts.values
     paths: List[CountingPath] = []
     stuck = 0
     unfinished = 0
@@ -94,14 +95,16 @@ def enumerate_counting_paths(
             break
         term, constraints, next_variable, steps, calls = pending.pop()
         explored += 1
+        frames: list = []
         while True:
             if steps >= max_steps:
                 unfinished += 1
                 break
-            outcome = stepper.step(term, next_variable)
-            if isinstance(outcome, StepValue):
+            redex = refocus(frames, term)
+            if isinstance(redex, values):
                 paths.append(CountingPath(constraints, next_variable, calls, steps))
                 break
+            outcome = stepper.contract(redex, next_variable)
             if isinstance(outcome, StepTerm):
                 term = outcome.term
                 if outcome.consumed_sample:
@@ -122,9 +125,11 @@ def enumerate_counting_paths(
                 if outcome.guard.contains_star():
                     stuck += 1
                     break
+                # The then-branch waits as a plugged configuration; the
+                # else-branch continues in the held context.
                 pending.append(
                     (
-                        outcome.then_term,
+                        plug(frames, outcome.then_term),
                         constraints.add(Constraint(outcome.guard, Relation.LE)),
                         next_variable,
                         steps + 1,

@@ -12,8 +12,12 @@ a concrete trace, except that
   control flow would depend on a recursive outcome -- the progress type
   system of App. D.3 rules this out statically).
 
-This module provides the concrete counting machine; the exact, measure-based
-extraction of the counting pattern lives in :mod:`repro.counting.pattern`.
+The machine is a rule set over the call-by-value evaluation contexts of
+:mod:`repro.spcf.contexts`, with the marker counted among the function values
+whose argument is evaluated first; like Fig. 8 it never evaluates the
+argument of a non-function.  This module provides the concrete counting
+machine; the exact, measure-based extraction of the counting pattern lives
+in :mod:`repro.counting.pattern`.
 """
 
 from __future__ import annotations
@@ -23,21 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
+from repro.semantics.cbv import CbVMachine
+from repro.semantics.machine import StuckSignal
 from repro.semantics.traces import Trace
+from repro.spcf.contexts import STEP_LIMIT, Contexts, Strategy, Stuck
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
-from repro.spcf.syntax import (
-    App,
-    Fix,
-    If,
-    Lam,
-    Numeral,
-    Prim,
-    Sample,
-    Score,
-    Term,
-    Var,
-    substitute,
-)
+from repro.spcf.syntax import App, Fix, If, Lam, Numeral, Prim, Score, Term, Var, substitute
 from repro.symbolic.execute import RecMarker
 
 Number = Union[Fraction, float, int]
@@ -77,122 +72,80 @@ class StarRunResult:
         return self.status is StarRunStatus.COMPLETED
 
 
-def _is_star_value(term: Term) -> bool:
-    return isinstance(term, (Var, Numeral, StarNumeral, Lam, Fix, RecMarker))
-
-
-class _Stuck(Exception):
-    def __init__(self, status: StarRunStatus, detail: str) -> None:
-        super().__init__(detail)
-        self.status = status
-        self.detail = detail
+_VALUES = (Var, Numeral, StarNumeral, Lam, Fix, RecMarker)
+_CONTEXTS = Contexts(
+    Strategy.CBV, _VALUES, (Numeral, StarNumeral), (Lam, Fix, RecMarker)
+)
 
 
 class StarMachine:
-    """The call-by-value counting machine of Fig. 5."""
+    """The call-by-value counting machine of Fig. 5.
+
+    Its state is the pair ``(trace, calls)`` of the remaining trace and the
+    number of recursive calls made so far.  Redexes without the marker or
+    ``star`` contract by the concrete call-by-value rules.
+    """
 
     def __init__(self, registry: Optional[PrimitiveRegistry] = None) -> None:
         self.registry = registry or default_registry()
+        self._concrete = CbVMachine(self.registry)
+
+    def contract(
+        self, redex: Term, state: Tuple[Trace, int]
+    ) -> Tuple[Term, Tuple[Trace, int]]:
+        """Reduce one redex; raises :class:`Stuck` when no rule applies."""
+        trace, calls = state
+        if isinstance(redex, App) and isinstance(redex.fn, RecMarker):
+            return StarNumeral(), (trace, calls + 1)
+        if isinstance(redex, If) and isinstance(redex.cond, StarNumeral):
+            raise Stuck(
+                StarRunStatus.STUCK_ON_STAR_GUARD,
+                "conditional guard depends on a recursive outcome",
+            )
+        if isinstance(redex, Score) and isinstance(redex.arg, StarNumeral):
+            raise Stuck(
+                StarRunStatus.STUCK_ON_STAR_GUARD,
+                "score argument depends on a recursive outcome",
+            )
+        if isinstance(redex, Prim) and any(
+            isinstance(argument, StarNumeral) for argument in redex.args
+        ):
+            for index, argument in enumerate(redex.args):
+                if not isinstance(argument, (Numeral, StarNumeral)):
+                    raise Stuck(
+                        StarRunStatus.STUCK, f"primitive argument {index} is not a numeral"
+                    )
+            return StarNumeral(), state
+        try:
+            term, trace = self._concrete.contract(redex, trace)
+        except StuckSignal as stuck:
+            raise Stuck(StarRunStatus[stuck.status.name], stuck.detail) from None
+        return term, (trace, calls)
 
     def step(
         self, term: Term, trace: Trace, calls: int
     ) -> Optional[Tuple[Term, Trace, int]]:
         """Perform one counting step; returns ``None`` when ``term`` is a value."""
-        if _is_star_value(term):
+        outcome = _CONTEXTS.step(self.contract, term, (trace, calls))
+        if outcome is None:
             return None
-        return self._step(term, trace, calls)
-
-    def _step(self, term: Term, trace: Trace, calls: int) -> Tuple[Term, Trace, int]:
-        if isinstance(term, App):
-            fn, arg = term.fn, term.arg
-            if not _is_star_value(fn):
-                new_fn, trace, calls = self._step(fn, trace, calls)
-                return App(new_fn, arg), trace, calls
-            if not _is_star_value(arg):
-                new_arg, trace, calls = self._step(arg, trace, calls)
-                return App(fn, new_arg), trace, calls
-            if isinstance(fn, RecMarker):
-                return StarNumeral(), trace, calls + 1
-            if isinstance(fn, Lam):
-                return substitute(fn.body, {fn.var: arg}), trace, calls
-            if isinstance(fn, Fix):
-                return substitute(fn.body, {fn.var: arg, fn.fvar: fn}), trace, calls
-            raise _Stuck(StarRunStatus.STUCK, "application of a non-function value")
-        if isinstance(term, If):
-            cond = term.cond
-            if isinstance(cond, StarNumeral):
-                raise _Stuck(
-                    StarRunStatus.STUCK_ON_STAR_GUARD,
-                    "conditional guard depends on a recursive outcome",
-                )
-            if isinstance(cond, Numeral):
-                return (term.then if cond.value <= 0 else term.orelse), trace, calls
-            if _is_star_value(cond):
-                raise _Stuck(StarRunStatus.STUCK, "conditional guard is not a numeral")
-            new_cond, trace, calls = self._step(cond, trace, calls)
-            return If(new_cond, term.then, term.orelse), trace, calls
-        if isinstance(term, Prim):
-            for index, argument in enumerate(term.args):
-                if isinstance(argument, (Numeral, StarNumeral)):
-                    continue
-                if _is_star_value(argument):
-                    raise _Stuck(
-                        StarRunStatus.STUCK, f"primitive argument {index} is not a numeral"
-                    )
-                new_argument, trace, calls = self._step(argument, trace, calls)
-                new_args = term.args[:index] + (new_argument,) + term.args[index + 1 :]
-                return Prim(term.op, new_args), trace, calls
-            if any(isinstance(argument, StarNumeral) for argument in term.args):
-                return StarNumeral(), trace, calls
-            primitive = self.registry[term.op]
-            values = [argument.value for argument in term.args]  # type: ignore[union-attr]
-            try:
-                result = primitive(*values)
-            except (ValueError, ZeroDivisionError, OverflowError) as error:
-                raise _Stuck(StarRunStatus.STUCK, f"primitive {term.op!r} failed: {error}")
-            return Numeral(result), trace, calls
-        if isinstance(term, Sample):
-            if trace.is_empty():
-                raise _Stuck(StarRunStatus.TRACE_EXHAUSTED, "sample on an empty trace")
-            return Numeral(trace.head()), trace.rest(), calls
-        if isinstance(term, Score):
-            argument = term.arg
-            if isinstance(argument, StarNumeral):
-                raise _Stuck(
-                    StarRunStatus.STUCK_ON_STAR_GUARD,
-                    "score argument depends on a recursive outcome",
-                )
-            if isinstance(argument, Numeral):
-                if argument.value < 0:
-                    raise _Stuck(StarRunStatus.SCORE_FAILED, "score of a negative value")
-                return argument, trace, calls
-            if _is_star_value(argument):
-                raise _Stuck(StarRunStatus.STUCK, "score argument is not a numeral")
-            new_argument, trace, calls = self._step(argument, trace, calls)
-            return Score(new_argument), trace, calls
-        if isinstance(term, Var):
-            raise _Stuck(StarRunStatus.STUCK, f"free variable {term.name!r}")
-        raise TypeError(f"cannot step term {term!r}")
+        term, (trace, calls) = outcome
+        return term, trace, calls
 
     def run(
         self, term: Term, trace: Trace, max_steps: int = 100_000
     ) -> StarRunResult:
         """Run the counting machine until a value, stuckness, or the step budget."""
-        steps = 0
-        calls = 0
-        current, remaining = term, trace
-        while steps < max_steps:
-            try:
-                outcome = self.step(current, remaining, calls)
-            except _Stuck as stuck:
-                return StarRunResult(stuck.status, calls, steps, current, remaining)
-            if outcome is None:
-                return StarRunResult(
-                    StarRunStatus.COMPLETED, calls, steps, current, remaining
-                )
-            current, remaining, calls = outcome
-            steps += 1
-        return StarRunResult(StarRunStatus.STEP_LIMIT, calls, steps, current, remaining)
+        stop, term, (trace, calls), steps = _CONTEXTS.run(
+            self.contract, term, (trace, 0), max_steps
+        )
+        if stop is None:
+            status = StarRunStatus.COMPLETED
+        elif stop is STEP_LIMIT:
+            status = StarRunStatus.STEP_LIMIT
+        else:
+            status = stop.status
+        return StarRunResult(status, calls, steps, term, trace)
 
 
 def instantiate_body(fix: Fix, argument: Number) -> Term:

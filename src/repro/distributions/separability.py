@@ -34,7 +34,7 @@ from repro.distributions.registry import extended_registry
 from repro.geometry.measure import MeasureOptions
 from repro.spcf.primitives import Primitive, default_registry
 from repro.spcf.syntax import If, Numeral, Prim, Sample, Term
-from repro.symbolic.execute import Strategy
+from repro.spcf.contexts import Strategy
 
 Number = Union[Fraction, float]
 

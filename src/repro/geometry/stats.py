@@ -130,9 +130,10 @@ class PerfStats:
     symbolic_steps: int = _counter("symbolic steps")
     """Symbolic reduction steps executed by path exploration.
 
-    Each step of :class:`repro.symbolic.execute.SymbolicStepper` performed
-    while enumerating paths counts once -- including the step into each
-    branch of a conditional fork.  A resumable exploration session never
+    Each redex contracted by the symbolic rule set
+    (:class:`repro.symbolic.execute.SymbolicStepper`) while enumerating
+    paths counts once -- including the step into each branch of a
+    conditional fork.  A resumable exploration session never
     re-executes a step across budgets, which is what the anytime benchmark
     gates against from-scratch re-exploration.
     """

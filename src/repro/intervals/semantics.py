@@ -14,6 +14,11 @@ interval trace.  The rules mirror the standard CbN semantics except that
 A terminating interval trace certifies that *every* standard trace refining it
 is terminating with the same number of steps (Lem. B.2), which is the engine
 behind the soundness theorem (Thm. 3.4).
+
+The machine is a rule set over the call-by-name evaluation contexts of
+:mod:`repro.spcf.contexts`: its values are variables, abstractions and
+interval numerals (a standard numeral is a stuck redex: the term was not
+embedded), and :meth:`IntervalMachine.contract` holds the rules above.
 """
 
 from __future__ import annotations
@@ -23,22 +28,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.intervals.interval import Interval
-from repro.intervals.terms import IntervalNumeral, is_interval_value
+from repro.intervals.terms import IntervalNumeral
 from repro.intervals.trace import IntervalTrace
+from repro.spcf.contexts import STEP_LIMIT, Contexts, Strategy, Stuck, unfold
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
-from repro.spcf.syntax import (
-    App,
-    Fix,
-    If,
-    Lam,
-    Numeral,
-    Prim,
-    Sample,
-    Score,
-    Term,
-    Var,
-    substitute,
-)
+from repro.spcf.syntax import App, Fix, If, Lam, Numeral, Prim, Sample, Score, Term, Var
 
 
 class IntervalRunStatus(enum.Enum):
@@ -68,11 +62,8 @@ class IntervalRunResult:
         return self.status is IntervalRunStatus.TERMINATED
 
 
-class _Stuck(Exception):
-    def __init__(self, status: IntervalRunStatus, detail: str) -> None:
-        super().__init__(detail)
-        self.status = status
-        self.detail = detail
+_VALUES = (Var, IntervalNumeral, Lam, Fix)
+_CONTEXTS = Contexts(Strategy.CBN, _VALUES, (IntervalNumeral,))
 
 
 class IntervalMachine:
@@ -81,123 +72,90 @@ class IntervalMachine:
     def __init__(self, registry: Optional[PrimitiveRegistry] = None) -> None:
         self.registry = registry or default_registry()
 
-    def step(
-        self, term: Term, trace: IntervalTrace
-    ) -> Optional[Tuple[Term, IntervalTrace]]:
-        """Perform one reduction step; return ``None`` on an interval value."""
-        if is_interval_value(term):
-            return None
-        return self._step(term, trace)
-
-    def _step(self, term: Term, trace: IntervalTrace) -> Tuple[Term, IntervalTrace]:
-        if isinstance(term, Numeral):
-            raise _Stuck(
+    def contract(
+        self, redex: Term, trace: IntervalTrace
+    ) -> Tuple[Term, IntervalTrace]:
+        """Reduce one redex; raises :class:`Stuck` when no rule applies."""
+        if isinstance(redex, Numeral):
+            raise Stuck(
                 IntervalRunStatus.STUCK,
                 "standard numeral inside an interval term (forgot to embed?)",
             )
-        if isinstance(term, App):
-            fn = term.fn
-            if isinstance(fn, Lam):
-                return substitute(fn.body, {fn.var: term.arg}), trace
-            if isinstance(fn, Fix):
-                return substitute(fn.body, {fn.var: term.arg, fn.fvar: fn}), trace
-            if is_interval_value(fn):
-                raise _Stuck(
-                    IntervalRunStatus.STUCK, "application of a non-function value"
-                )
-            new_fn, new_trace = self._step(fn, trace)
-            return App(new_fn, term.arg), new_trace
-        if isinstance(term, If):
-            cond = term.cond
+        if isinstance(redex, App):
+            if isinstance(redex.fn, (Lam, Fix)):
+                return unfold(redex.fn, redex.arg), trace
+            raise Stuck(IntervalRunStatus.STUCK, "application of a non-function value")
+        if isinstance(redex, If):
+            cond = redex.cond
             if isinstance(cond, IntervalNumeral):
                 interval = cond.interval
                 if interval.hi <= 0:
-                    return term.then, trace
+                    return redex.then, trace
                 if interval.lo > 0:
-                    return term.orelse, trace
-                raise _Stuck(
+                    return redex.orelse, trace
+                raise Stuck(
                     IntervalRunStatus.AMBIGUOUS_BRANCH,
                     f"guard interval {interval} straddles 0",
                 )
-            if is_interval_value(cond):
-                raise _Stuck(
-                    IntervalRunStatus.STUCK, "conditional guard is not an interval numeral"
-                )
-            new_cond, new_trace = self._step(cond, trace)
-            return If(new_cond, term.then, term.orelse), new_trace
-        if isinstance(term, Prim):
-            for index, argument in enumerate(term.args):
-                if isinstance(argument, IntervalNumeral):
-                    continue
-                if is_interval_value(argument):
-                    raise _Stuck(
+            raise Stuck(
+                IntervalRunStatus.STUCK, "conditional guard is not an interval numeral"
+            )
+        if isinstance(redex, Prim):
+            for index, argument in enumerate(redex.args):
+                if not isinstance(argument, IntervalNumeral):
+                    raise Stuck(
                         IntervalRunStatus.STUCK,
                         f"primitive argument {index} is not an interval numeral",
                     )
-                new_argument, new_trace = self._step(argument, trace)
-                new_args = term.args[:index] + (new_argument,) + term.args[index + 1 :]
-                return Prim(term.op, new_args), new_trace
-            primitive = self.registry[term.op]
-            bounds = [arg.interval.as_pair() for arg in term.args]  # type: ignore[union-attr]
+            primitive = self.registry[redex.op]
+            bounds = [arg.interval.as_pair() for arg in redex.args]  # type: ignore[union-attr]
             try:
                 lo, hi = primitive.on_box(*bounds)
             except (ValueError, ZeroDivisionError, OverflowError) as error:
-                raise _Stuck(
-                    IntervalRunStatus.STUCK, f"primitive {term.op!r} failed: {error}"
+                raise Stuck(
+                    IntervalRunStatus.STUCK, f"primitive {redex.op!r} failed: {error}"
                 )
             return IntervalNumeral(Interval(lo, hi)), trace
-        if isinstance(term, Sample):
+        if isinstance(redex, Sample):
             if trace.is_empty():
-                raise _Stuck(
+                raise Stuck(
                     IntervalRunStatus.TRACE_EXHAUSTED, "sample on an empty interval trace"
                 )
             return IntervalNumeral(trace.head()), trace.rest()
-        if isinstance(term, Score):
-            argument = term.arg
+        if isinstance(redex, Score):
+            argument = redex.arg
             if isinstance(argument, IntervalNumeral):
                 if argument.interval.lo < 0:
-                    raise _Stuck(
+                    raise Stuck(
                         IntervalRunStatus.SCORE_FAILED,
                         "score of an interval with a negative lower bound",
                     )
                 return argument, trace
-            if is_interval_value(argument):
-                raise _Stuck(
-                    IntervalRunStatus.STUCK, "score argument is not an interval numeral"
-                )
-            new_argument, new_trace = self._step(argument, trace)
-            return Score(new_argument), new_trace
-        if isinstance(term, Var):
-            raise _Stuck(IntervalRunStatus.STUCK, f"free variable {term.name!r}")
-        raise TypeError(f"cannot step interval term {term!r}")
+            raise Stuck(
+                IntervalRunStatus.STUCK, "score argument is not an interval numeral"
+            )
+        raise TypeError(f"cannot step interval term {redex!r}")
+
+    def step(
+        self, term: Term, trace: IntervalTrace
+    ) -> Optional[Tuple[Term, IntervalTrace]]:
+        """Perform one reduction step; return ``None`` on an interval value."""
+        return _CONTEXTS.step(self.contract, term, trace)
 
     def run(
         self, term: Term, trace: IntervalTrace, max_steps: int = 100_000
     ) -> IntervalRunResult:
         """Run ``<term, trace>`` until a value, stuckness, or the step budget."""
-        steps = 0
-        current, remaining = term, trace
-        while steps < max_steps:
-            try:
-                outcome = self.step(current, remaining)
-            except _Stuck as stuck:
-                return IntervalRunResult(
-                    stuck.status, current, remaining, steps, stuck.detail
-                )
-            if outcome is None:
-                if remaining.is_empty():
-                    return IntervalRunResult(
-                        IntervalRunStatus.TERMINATED, current, remaining, steps
-                    )
-                return IntervalRunResult(
-                    IntervalRunStatus.VALUE_WITH_LEFTOVER_TRACE,
-                    current,
-                    remaining,
-                    steps,
-                )
-            current, remaining = outcome
-            steps += 1
-        return IntervalRunResult(IntervalRunStatus.STEP_LIMIT, current, remaining, steps)
+        stop, term, trace, steps = _CONTEXTS.run(self.contract, term, trace, max_steps)
+        if stop is None:
+            if trace.is_empty():
+                return IntervalRunResult(IntervalRunStatus.TERMINATED, term, trace, steps)
+            return IntervalRunResult(
+                IntervalRunStatus.VALUE_WITH_LEFTOVER_TRACE, term, trace, steps
+            )
+        if stop is STEP_LIMIT:
+            return IntervalRunResult(IntervalRunStatus.STEP_LIMIT, term, trace, steps)
+        return IntervalRunResult(stop.status, term, trace, steps, stop.detail)
 
     def terminates_on(
         self, term: Term, trace: IntervalTrace, max_steps: int = 100_000

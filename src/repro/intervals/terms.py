@@ -58,11 +58,6 @@ def embed(term: Term) -> Term:
     raise TypeError(f"unknown term: {term!r}")
 
 
-def is_interval_value(term: Term) -> bool:
-    """Values of the interval language: variables, interval numerals, abstractions."""
-    return isinstance(term, (Var, IntervalNumeral, Lam, Fix))
-
-
 def term_refines(standard: Term, interval: Term) -> bool:
     """The refinement relation ``M <| M'`` between standard and interval terms."""
     if isinstance(interval, IntervalNumeral):

@@ -50,9 +50,10 @@ import repro.telemetry as telemetry
 from repro.geometry.engine import MeasureEngine
 from repro.geometry.measure import MeasureOptions
 from repro.lowerbound.result import LowerBoundResult, PathMeasure
+from repro.spcf.contexts import Strategy
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
 from repro.spcf.syntax import Term, free_variables
-from repro.symbolic.execute import Strategy, SymbolicExplorer
+from repro.symbolic.execute import SymbolicExplorer
 
 Number = Union[Fraction, float]
 

@@ -36,7 +36,7 @@ from repro.lowerbound.engine import LowerBoundEngine
 from repro.randomwalk.step_distribution import CountingDistribution
 from repro.spcf.primitives import PrimitiveRegistry
 from repro.spcf.syntax import Fix, Term
-from repro.symbolic.execute import Strategy
+from repro.spcf.contexts import Strategy
 
 Number = Union[Fraction, float]
 

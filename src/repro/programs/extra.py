@@ -23,7 +23,7 @@ from repro.distributions.transforms import exponential
 from repro.programs.library import Program
 from repro.spcf.sugar import add, choice, let, sub
 from repro.spcf.syntax import App, Fix, If, Numeral, Prim, Sample, Score, Var
-from repro.symbolic.execute import Strategy
+from repro.spcf.contexts import Strategy
 
 Number = Union[Fraction, float, int]
 

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Union
 
 from repro.spcf.sugar import add, choice, let, mul, sub
 from repro.spcf.syntax import App, Fix, If, Numeral, Prim, Sample, Term, Var
-from repro.symbolic.execute import Strategy
+from repro.spcf.contexts import Strategy
 
 Number = Union[Fraction, float, int]
 

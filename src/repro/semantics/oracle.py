@@ -19,6 +19,11 @@ This module provides
 * :func:`branching_classes` -- an empirical view of the partition obtained by
   sampling traces, used by the tests to check that the classes are disjoint
   and exhaust the terminating traces.
+
+All of them drive the concrete machine of :mod:`repro.semantics.machine`
+over the shared evaluation contexts of :mod:`repro.spcf.contexts`: the
+oracle is consulted on each redex the refocusing run reaches, and
+:func:`find_redex` is that run's decomposition.
 """
 
 from __future__ import annotations
@@ -30,23 +35,18 @@ from typing import Dict, Optional, Tuple
 
 from repro.semantics.cbn import CbNMachine
 from repro.semantics.cbv import CbVMachine
-from repro.semantics.machine import RunResult, RunStatus, StuckSignal
-from repro.semantics.traces import Trace
-from repro.spcf.primitives import PrimitiveRegistry, default_registry
-from repro.spcf.syntax import (
-    App,
-    Fix,
-    If,
-    Lam,
-    Numeral,
-    Prim,
-    Sample,
-    Score,
-    Term,
-    Var,
-    is_value,
+from repro.semantics.machine import (
+    CONTEXTS,
+    VALUES,
+    ConcreteMachine,
+    RunResult,
+    RunStatus,
+    run_result,
 )
-from repro.symbolic.execute import Strategy
+from repro.semantics.traces import Trace
+from repro.spcf.contexts import Strategy
+from repro.spcf.primitives import PrimitiveRegistry, default_registry
+from repro.spcf.syntax import If, Numeral, Term
 
 __all__ = [
     "Direction",
@@ -108,7 +108,7 @@ class OracleRunResult:
         return self.status is OracleRunStatus.TERMINATED
 
 
-def _machine_for(strategy: Strategy, registry: PrimitiveRegistry):
+def _machine_for(strategy: Strategy, registry: PrimitiveRegistry) -> ConcreteMachine:
     if strategy is Strategy.CBV:
         return CbVMachine(registry)
     return CbNMachine(registry)
@@ -117,49 +117,16 @@ def _machine_for(strategy: Strategy, registry: PrimitiveRegistry):
 def find_redex(term: Term, strategy: Strategy = Strategy.CBN) -> Optional[Term]:
     """The redex of the unique decomposition ``term = E[R]`` (or ``None`` for values).
 
-    Mirrors the search order of the CbN / CbV machines, so the returned
-    subterm is exactly the one the next :meth:`step` call will contract.
+    The decomposition of the machines' own evaluation contexts, so the
+    returned subterm is exactly the one the next :meth:`step` call will
+    contract.
     """
-    if is_value(term):
-        return None
-    if isinstance(term, App):
-        fn, arg = term.fn, term.arg
-        if strategy is Strategy.CBV:
-            if not is_value(fn):
-                return find_redex(fn, strategy)
-            if not is_value(arg):
-                return find_redex(arg, strategy)
-            return term
-        if isinstance(fn, (Lam, Fix)) or is_value(fn):
-            return term
-        return find_redex(fn, strategy)
-    if isinstance(term, If):
-        if is_value(term.cond):
-            return term
-        return find_redex(term.cond, strategy)
-    if isinstance(term, Prim):
-        for argument in term.args:
-            if isinstance(argument, Numeral):
-                continue
-            if is_value(argument):
-                return term
-            return find_redex(argument, strategy)
-        return term
-    if isinstance(term, Sample):
-        return term
-    if isinstance(term, Score):
-        if is_value(term.arg):
-            return term
-        return find_redex(term.arg, strategy)
-    if isinstance(term, Var):
-        return term
-    return term
+    redex = CONTEXTS[strategy].refocus([], term)
+    return None if isinstance(redex, VALUES) else redex
 
 
-def _conditional_direction(term: Term, strategy: Strategy) -> Optional[Direction]:
-    """The direction the next step will take, when the redex is a conditional
-    whose guard is already a numeral."""
-    redex = find_redex(term, strategy)
+def _direction(redex: Term) -> Optional[Direction]:
+    """The direction a conditional redex with a numeral guard takes."""
     if isinstance(redex, If) and isinstance(redex.cond, Numeral):
         return Direction.LEFT if redex.cond.value <= 0 else Direction.RIGHT
     return None
@@ -177,32 +144,26 @@ def record_branching(
     For a terminating trace this returns the unique oracle ``kappa`` with
     ``s  in  T^(kappa)_{M, term}`` (Lem. B.5).
     """
-    registry = registry or default_registry()
-    machine = _machine_for(strategy, registry)
+    machine = _machine_for(strategy, registry or default_registry())
     directions = []
-    current, remaining = term, trace
-    steps = 0
-    while steps < max_steps:
-        direction = _conditional_direction(current, strategy)
-        try:
-            outcome = machine.step(current, remaining)
-        except StuckSignal as stuck:
-            return (
-                RunResult(stuck.status, current, remaining, steps, stuck.detail),
-                tuple(directions),
-            )
-        if outcome is None:
-            status = (
-                RunStatus.TERMINATED
-                if remaining.is_empty()
-                else RunStatus.VALUE_WITH_LEFTOVER_TRACE
-            )
-            return RunResult(status, current, remaining, steps), tuple(directions)
+
+    def record(redex: Term, trace: Trace, steps: int) -> Trace:
+        direction = _direction(redex)
         if direction is not None:
             directions.append(direction)
-        current, remaining = outcome
-        steps += 1
-    return RunResult(RunStatus.STEP_LIMIT, current, remaining, steps), tuple(directions)
+        return trace
+
+    outcome = machine.contexts.run(machine.contract, term, trace, max_steps, record)
+    return run_result(*outcome), tuple(directions)
+
+
+class _OracleHalt(Exception):
+    """The oracle disagreed with (or ran out before) a conditional redex."""
+
+    def __init__(self, status: "OracleRunStatus", steps: int) -> None:
+        super().__init__(status.value)
+        self.status = status
+        self.steps = steps
 
 
 class OracleMachine:
@@ -231,51 +192,36 @@ class OracleMachine:
         max_steps: int = 100_000,
     ) -> OracleRunResult:
         """Run ``<term, trace, oracle>`` per Fig. 11."""
-        current, remaining = term, trace
         position = 0
-        steps = 0
-        while steps < max_steps:
-            direction = _conditional_direction(current, self.strategy)
+
+        def follow(redex: Term, trace: Trace, steps: int) -> Trace:
+            nonlocal position
+            direction = _direction(redex)
             if direction is not None:
                 if position >= len(oracle):
-                    return OracleRunResult(
-                        OracleRunStatus.ORACLE_EXHAUSTED, None, position, steps
-                    )
+                    raise _OracleHalt(OracleRunStatus.ORACLE_EXHAUSTED, steps)
                 if oracle[position] is not direction:
-                    return OracleRunResult(
-                        OracleRunStatus.ORACLE_MISMATCH, None, position, steps
-                    )
+                    raise _OracleHalt(OracleRunStatus.ORACLE_MISMATCH, steps)
                 position += 1
-            try:
-                outcome = self._machine.step(current, remaining)
-            except StuckSignal as stuck:
-                result = RunResult(stuck.status, current, remaining, steps, stuck.detail)
-                return OracleRunResult(
-                    OracleRunStatus.MACHINE_STOPPED, result, position, steps
-                )
-            if outcome is None:
-                terminated = remaining.is_empty()
-                machine_status = (
-                    RunStatus.TERMINATED
-                    if terminated
-                    else RunStatus.VALUE_WITH_LEFTOVER_TRACE
-                )
-                result = RunResult(machine_status, current, remaining, steps)
-                if not terminated:
-                    return OracleRunResult(
-                        OracleRunStatus.MACHINE_STOPPED, result, position, steps
-                    )
-                if position != len(oracle):
-                    return OracleRunResult(
-                        OracleRunStatus.ORACLE_LEFTOVER, result, position, steps
-                    )
-                return OracleRunResult(
-                    OracleRunStatus.TERMINATED, result, position, steps
-                )
-            current, remaining = outcome
-            steps += 1
-        result = RunResult(RunStatus.STEP_LIMIT, current, remaining, steps)
-        return OracleRunResult(OracleRunStatus.MACHINE_STOPPED, result, position, steps)
+            return trace
+
+        machine = self._machine
+        try:
+            outcome = machine.contexts.run(
+                machine.contract, term, trace, max_steps, follow
+            )
+        except _OracleHalt as halt:
+            return OracleRunResult(halt.status, None, position, halt.steps)
+        result = run_result(*outcome)
+        if result.status is not RunStatus.TERMINATED:
+            return OracleRunResult(
+                OracleRunStatus.MACHINE_STOPPED, result, position, result.steps
+            )
+        if position != len(oracle):
+            return OracleRunResult(
+                OracleRunStatus.ORACLE_LEFTOVER, result, position, result.steps
+            )
+        return OracleRunResult(OracleRunStatus.TERMINATED, result, position, result.steps)
 
 
 def in_branching_class(

@@ -1,9 +1,12 @@
 """Monte-Carlo estimation of termination probability and expected runtime.
 
 The standard semantics evaluates a term against a trace that is fixed up
-front.  For estimation we instead supply random draws *lazily*: whenever the
-machine needs a sample and the working trace is empty, a fresh uniform draw is
-appended.  A run that reaches a value therefore corresponds exactly to a
+front.  For estimation we instead supply random draws *lazily*: ahead of
+every step that starts with an empty working trace, a fresh uniform draw is
+appended (a draw the run never consumes is not counted as used).  The run
+itself is the concrete machine's refocusing run (:mod:`repro.spcf.contexts`),
+which keeps the evaluation context between steps.  A run that reaches a value
+therefore corresponds exactly to a
 terminating trace (the draws actually consumed), and the empirical frequency
 of such runs is an unbiased estimator of ``Pterm`` restricted to runs within
 the step budget -- i.e. an estimator of ``mu_S(T^{<= max_steps}_{M, term})``,
@@ -19,15 +22,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from repro.spcf.syntax import Term, is_value
-from repro.semantics.cbn import CbNMachine
+from repro.spcf.contexts import STEP_LIMIT
+from repro.spcf.syntax import Term
 from repro.semantics.cbv import CbVMachine
-from repro.semantics.machine import RunStatus, StuckSignal
-from repro.semantics.traces import Trace
-
-Machine = Union[CbNMachine, CbVMachine]
+from repro.semantics.machine import ConcreteMachine, RunStatus
+from repro.semantics.traces import EMPTY_TRACE, Trace
 
 
 @dataclass(frozen=True)
@@ -59,50 +60,43 @@ class TerminationEstimate:
 
 
 def run_lazily(
-    machine: Machine,
+    machine: ConcreteMachine,
     term: Term,
     rng: Optional[random.Random] = None,
     max_steps: int = 10_000,
 ) -> LazyRunResult:
-    """Run ``term`` supplying uniform draws on demand, up to ``max_steps``."""
+    """Run ``term`` supplying uniform draws on demand, up to ``max_steps``.
+
+    A draw is appended ahead of every step that starts with an empty trace,
+    so the run consumes exactly the draws of the ``rng`` stream in order.
+    """
     rng = rng or random
-    current = term
-    trace = Trace(())
-    steps = 0
-    samples_used = 0
-    while steps < max_steps:
-        if is_value(current):
-            if not trace.is_empty():
-                # A speculatively appended draw was never consumed.
-                samples_used -= 1
-            return LazyRunResult(RunStatus.TERMINATED, steps, samples_used, current)
+    draws = 0
+
+    def supply(redex: Term, trace: Trace, steps: int) -> Trace:
+        nonlocal draws
         if trace.is_empty():
-            trace = Trace((rng.random(),))
-            samples_used += 1
-        try:
-            outcome = machine.step(current, trace)
-        except RecursionError:
-            # Deeper pending-call chains than the Python stack allows: treat
-            # the run as exceeding its budget (it is certainly not a short
-            # terminating run).
-            return LazyRunResult(RunStatus.STEP_LIMIT, steps, samples_used, None)
-        except StuckSignal as stuck:
-            # A fresh draw was speculatively appended but the stuck redex was
-            # not a sample; it does not count as consumed.
-            if not trace.is_empty():
-                samples_used -= 1
-            return LazyRunResult(stuck.status, steps, samples_used, None)
-        assert outcome is not None
-        current, trace = outcome
-        steps += 1
-    return LazyRunResult(RunStatus.STEP_LIMIT, steps, samples_used, None)
+            draws += 1
+            return Trace((rng.random(),))
+        return trace
+
+    stop, term, trace, steps = machine.contexts.run(
+        machine.contract, term, EMPTY_TRACE, max_steps, supply
+    )
+    if stop is STEP_LIMIT:
+        return LazyRunResult(RunStatus.STEP_LIMIT, steps, draws, None)
+    # A speculatively appended draw that was never consumed does not count.
+    samples_used = draws if trace.is_empty() else draws - 1
+    if stop is None:
+        return LazyRunResult(RunStatus.TERMINATED, steps, samples_used, term)
+    return LazyRunResult(stop.status, steps, samples_used, None)
 
 
 def estimate_termination(
     term: Term,
     runs: int = 2000,
     max_steps: int = 10_000,
-    machine: Optional[Machine] = None,
+    machine: Optional[ConcreteMachine] = None,
     seed: Optional[int] = 0,
 ) -> TerminationEstimate:
     """Estimate ``Pterm(term)`` (and expected steps on terminating runs).

@@ -27,9 +27,12 @@ improves with the budget -- and the session makes that operational: each
 :meth:`SymbolicExplorer.explore` at the same budget, while executing each
 reduction step at most once across the whole schedule.
 
-The same stepping machinery supports a call-by-value mode and a distinguished
-*recursion marker*; the AST verifier (Sec. 6) uses those to build symbolic
-execution trees of recursion bodies.
+:class:`SymbolicStepper` is the symbolic rule set over the evaluation
+contexts of :mod:`repro.spcf.contexts`, for either strategy and with a
+distinguished *recursion marker*; the AST verifier (Sec. 6) uses those to
+build symbolic execution trees of recursion bodies.  Exploration holds each
+path's context between steps and plugs a term only into a forked child or a
+suspended configuration.
 
 Invariants
 ----------
@@ -51,30 +54,19 @@ Invariants
 
 from __future__ import annotations
 
-import enum
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
 import repro.telemetry as telemetry
+from repro.spcf.contexts import Contexts, Strategy, plug, unfold
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
-from repro.spcf.syntax import (
-    App,
-    Fix,
-    If,
-    Lam,
-    Numeral,
-    Prim,
-    Sample,
-    Score,
-    Term,
-    Var,
-    substitute,
-)
+from repro.spcf.syntax import App, Fix, If, Lam, Numeral, Prim, Sample, Score, Term, Var
 from repro.symbolic.constraints import Constraint, ConstraintSet, Relation
 from repro.symbolic.values import (
     ConstVal,
     SampleVar,
+    StarVal,
     SymNumeral,
     SymVal,
     simplify_prim,
@@ -92,13 +84,6 @@ class RecMarker(Term):
     """
 
 
-class Strategy(enum.Enum):
-    """Evaluation strategy of the symbolic executor."""
-
-    CBN = "call-by-name"
-    CBV = "call-by-value"
-
-
 def as_symbolic_value(term: Term) -> Optional[SymVal]:
     """View a term-level constant of type R as a symbolic value, if it is one."""
     if isinstance(term, Numeral):
@@ -108,8 +93,11 @@ def as_symbolic_value(term: Term) -> Optional[SymVal]:
     return None
 
 
-def _is_symbolic_value(term: Term) -> bool:
-    return isinstance(term, (Var, Numeral, SymNumeral, Lam, Fix, RecMarker))
+_VALUES = (Var, Numeral, SymNumeral, Lam, Fix, RecMarker)
+_CONTEXTS = {
+    strategy: Contexts(strategy, _VALUES, (Numeral, SymNumeral), (Lam, Fix, RecMarker))
+    for strategy in Strategy
+}
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +155,15 @@ StepOutcome = Union[StepValue, StepTerm, StepBranch, StepScore, StepRecCall, Ste
 
 
 class SymbolicStepper:
-    """Performs single symbolic reduction steps under a chosen strategy."""
+    """The symbolic rule set: single symbolic reduction steps under a strategy.
+
+    Values are variables, abstractions, the recursion marker and constants
+    of type R -- numerals and :class:`SymNumeral` symbolic values.
+    :meth:`contract` reduces one redex of the shared evaluation contexts
+    (:attr:`contexts`) to a redex-local :data:`StepOutcome`; drivers that
+    keep the context between steps plug its terms only where a term must
+    exist.
+    """
 
     def __init__(
         self,
@@ -176,132 +172,80 @@ class SymbolicStepper:
     ) -> None:
         self.strategy = strategy
         self.registry = registry or default_registry()
+        self.contexts = _CONTEXTS[strategy]
 
     def step(self, term: Term, next_variable: int) -> StepOutcome:
         """Reduce the unique redex of ``term``; fresh samples use ``next_variable``."""
-        if _is_symbolic_value(term):
+        frames: list = []
+        redex = self.contexts.refocus(frames, term)
+        if isinstance(redex, _VALUES):
             return StepValue()
-        return self._step(term, next_variable)
+        outcome = self.contract(redex, next_variable)
+        # Plug every continuation term of the outcome into the context.
+        terms = {
+            name: plug(frames, value)
+            for name, value in vars(outcome).items()
+            if isinstance(value, Term)
+        }
+        return replace(outcome, **terms) if terms else outcome
 
-    # The private helpers return outcomes whose continuation terms are the
-    # *redex-local* results; contexts are rebuilt on the way out.
-
-    def _step(self, term: Term, next_variable: int) -> StepOutcome:
-        if isinstance(term, App):
-            return self._step_app(term, next_variable)
-        if isinstance(term, If):
-            return self._step_if(term, next_variable)
-        if isinstance(term, Prim):
-            return self._step_prim(term, next_variable)
-        if isinstance(term, Sample):
-            return StepTerm(SymNumeral(SampleVar(next_variable)), consumed_sample=True)
-        if isinstance(term, Score):
-            return self._step_score(term, next_variable)
-        if isinstance(term, Var):
-            return StepStuck(f"free variable {term.name!r}")
-        return StepStuck(f"cannot step term {term!r}")
-
-    def _step_app(self, term: App, next_variable: int) -> StepOutcome:
-        fn, arg = term.fn, term.arg
-        if not _is_symbolic_value(fn):
-            return self._in_context(
-                self._step(fn, next_variable), lambda t: App(t, arg)
-            )
-        if self.strategy is Strategy.CBV and not _is_symbolic_value(arg):
-            if isinstance(fn, (Lam, Fix, RecMarker)):
-                return self._in_context(
-                    self._step(arg, next_variable), lambda t: App(fn, t)
-                )
-        if isinstance(fn, RecMarker):
-            argument = as_symbolic_value(arg)
-            if argument is None and self.strategy is Strategy.CBV:
-                return StepStuck("recursion marker applied to a non-numeric value")
-            # The outcome of the recursive call is the unknown numeral ``star``
-            # (Fig. 5); the continuation resumes with it in redex position.
-            from repro.symbolic.values import StarVal
-
-            return StepRecCall(
-                argument if argument is not None else ConstVal(0),
-                SymNumeral(StarVal()),
-            )
-        if isinstance(fn, Lam):
-            if self.strategy is Strategy.CBV and not _is_symbolic_value(arg):
-                return self._in_context(
-                    self._step(arg, next_variable), lambda t: App(fn, t)
-                )
-            return StepTerm(substitute(fn.body, {fn.var: arg}))
-        if isinstance(fn, Fix):
-            if self.strategy is Strategy.CBV and not _is_symbolic_value(arg):
-                return self._in_context(
-                    self._step(arg, next_variable), lambda t: App(fn, t)
-                )
-            return StepTerm(substitute(fn.body, {fn.var: arg, fn.fvar: fn}))
-        return StepStuck("application of a non-function value")
-
-    def _step_if(self, term: If, next_variable: int) -> StepOutcome:
-        guard = as_symbolic_value(term.cond)
-        if guard is not None:
+    def contract(self, redex: Term, next_variable: int) -> StepOutcome:
+        """The outcome of one redex, its continuation terms redex-local."""
+        if isinstance(redex, App):
+            return self._contract_app(redex)
+        if isinstance(redex, If):
+            guard = as_symbolic_value(redex.cond)
+            if guard is None:
+                return StepStuck("conditional guard is not of type R")
             if isinstance(guard, ConstVal):
-                chosen = term.then if guard.value <= 0 else term.orelse
-                return StepTerm(chosen)
-            return StepBranch(guard, term.then, term.orelse)
-        if _is_symbolic_value(term.cond):
-            return StepStuck("conditional guard is not of type R")
-        return self._in_context(
-            self._step(term.cond, next_variable),
-            lambda t: If(t, term.then, term.orelse),
-        )
-
-    def _step_prim(self, term: Prim, next_variable: int) -> StepOutcome:
-        for index, argument in enumerate(term.args):
-            if as_symbolic_value(argument) is not None:
-                continue
-            if _is_symbolic_value(argument):
-                return StepStuck(f"primitive argument {index} is not of type R")
-            prefix = term.args[:index]
-            suffix = term.args[index + 1 :]
-            return self._in_context(
-                self._step(argument, next_variable),
-                lambda t: Prim(term.op, prefix + (t,) + suffix),
-            )
-        values = [as_symbolic_value(argument) for argument in term.args]
-        if any(value.contains_star() for value in values):
-            # f(..., star, ...) reduces to star (Fig. 5).
-            from repro.symbolic.values import StarVal
-
-            return StepTerm(SymNumeral(StarVal()))
-        try:
-            result = simplify_prim(term.op, values, self.registry)
-        except (ValueError, ZeroDivisionError, OverflowError) as error:
-            return StepStuck(f"primitive {term.op!r} failed: {error}")
-        return StepTerm(SymNumeral(result))
-
-    def _step_score(self, term: Score, next_variable: int) -> StepOutcome:
-        value = as_symbolic_value(term.arg)
-        if value is not None:
+                return StepTerm(redex.then if guard.value <= 0 else redex.orelse)
+            return StepBranch(guard, redex.then, redex.orelse)
+        if isinstance(redex, Prim):
+            return self._contract_prim(redex)
+        if isinstance(redex, Sample):
+            return StepTerm(SymNumeral(SampleVar(next_variable)), consumed_sample=True)
+        if isinstance(redex, Score):
+            value = as_symbolic_value(redex.arg)
+            if value is None:
+                return StepStuck("score argument is not of type R")
             if isinstance(value, ConstVal):
                 if value.value < 0:
                     return StepStuck("score of a negative constant")
                 return StepTerm(SymNumeral(value))
             return StepScore(value, SymNumeral(value))
-        if _is_symbolic_value(term.arg):
-            return StepStuck("score argument is not of type R")
-        return self._in_context(
-            self._step(term.arg, next_variable), lambda t: Score(t)
-        )
+        return StepStuck(f"cannot step term {redex!r}")
 
-    @staticmethod
-    def _in_context(outcome: StepOutcome, plug) -> StepOutcome:
-        """Rebuild the surrounding evaluation context around an inner outcome."""
-        if isinstance(outcome, StepTerm):
-            return StepTerm(plug(outcome.term), outcome.consumed_sample)
-        if isinstance(outcome, StepBranch):
-            return StepBranch(outcome.guard, plug(outcome.then_term), plug(outcome.else_term))
-        if isinstance(outcome, StepScore):
-            return StepScore(outcome.value, plug(outcome.term))
-        if isinstance(outcome, StepRecCall):
-            return StepRecCall(outcome.argument, plug(outcome.term))
-        return outcome
+    def _contract_app(self, redex: App) -> StepOutcome:
+        fn = redex.fn
+        if isinstance(fn, RecMarker):
+            argument = as_symbolic_value(redex.arg)
+            if argument is None and self.strategy is Strategy.CBV:
+                return StepStuck("recursion marker applied to a non-numeric value")
+            # The outcome of the recursive call is the unknown numeral ``star``
+            # (Fig. 5); the continuation resumes with it in redex position.
+            return StepRecCall(
+                argument if argument is not None else ConstVal(0),
+                SymNumeral(StarVal()),
+            )
+        if isinstance(fn, (Lam, Fix)):
+            return StepTerm(unfold(fn, redex.arg))
+        return StepStuck("application of a non-function value")
+
+    def _contract_prim(self, redex: Prim) -> StepOutcome:
+        values = []
+        for index, argument in enumerate(redex.args):
+            value = as_symbolic_value(argument)
+            if value is None:
+                return StepStuck(f"primitive argument {index} is not of type R")
+            values.append(value)
+        if any(value.contains_star() for value in values):
+            # f(..., star, ...) reduces to star (Fig. 5).
+            return StepTerm(SymNumeral(StarVal()))
+        try:
+            result = simplify_prim(redex.op, values, self.registry)
+        except (ValueError, ZeroDivisionError, OverflowError) as error:
+            return StepStuck(f"primitive {redex.op!r} failed: {error}")
+        return StepTerm(SymNumeral(result))
 
 
 # ---------------------------------------------------------------------------
@@ -800,20 +744,30 @@ class SymbolicExplorer:
     def _run_to_event(
         self, configuration: _Configuration, max_steps: int, stats=None
     ) -> Tuple[str, object]:
-        term = configuration.term
+        """Step ``configuration`` to its next event, holding its context.
+
+        Events are a value, a stuck redex, a fork (both children stored as
+        plugged configurations) or the budget, which stores the plugged term
+        back into ``configuration`` so a deeper budget resumes there.
+        """
         constraints = configuration.constraints
         next_variable = configuration.next_variable
         steps = configuration.steps
         branches = configuration.branches
+        refocus = self.stepper.contexts.refocus
+        contract = self.stepper.contract
+        frames: list = []
+        term = configuration.term
         executed = 0
         try:
             while steps < max_steps:
-                outcome = self.stepper.step(term, next_variable)
-                if isinstance(outcome, StepValue):
+                redex = refocus(frames, term)
+                if isinstance(redex, _VALUES):
                     return (
                         "terminated",
-                        SymbolicPath(constraints, next_variable, steps, term, branches),
+                        SymbolicPath(constraints, next_variable, steps, redex, branches),
                     )
+                outcome = contract(redex, next_variable)
                 if isinstance(outcome, StepTerm):
                     term = outcome.term
                     if outcome.consumed_sample:
@@ -830,14 +784,14 @@ class SymbolicExplorer:
                 if isinstance(outcome, StepBranch):
                     executed += 1  # the step into the branches
                     left = _Configuration(
-                        outcome.then_term,
+                        plug(frames, outcome.then_term),
                         constraints.add(Constraint(outcome.guard, Relation.LE)),
                         next_variable,
                         steps + 1,
                         branches + (True,),
                     )
                     right = _Configuration(
-                        outcome.else_term,
+                        plug(frames, outcome.else_term),
                         constraints.add(Constraint(outcome.guard, Relation.GT)),
                         next_variable,
                         steps + 1,
@@ -851,7 +805,7 @@ class SymbolicExplorer:
                 raise TypeError(f"unexpected step outcome {outcome!r}")
             # Budget exhausted mid-path: record the progress in place so a
             # deeper budget resumes here instead of re-deriving the prefix.
-            configuration.term = term
+            configuration.term = plug(frames, term)
             configuration.constraints = constraints
             configuration.next_variable = next_variable
             configuration.steps = steps

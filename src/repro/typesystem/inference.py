@@ -25,7 +25,8 @@ from repro.intervals.trace import IntervalTrace
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
 from repro.spcf.syntax import Numeral, Term, free_variables
 from repro.symbolic.constraints import box_to_mapping
-from repro.symbolic.execute import Strategy, SymbolicExplorer
+from repro.spcf.contexts import Strategy
+from repro.symbolic.execute import SymbolicExplorer
 from repro.symbolic.values import SymNumeral
 from repro.typesystem.settypes import (
     ArrowElement,

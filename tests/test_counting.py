@@ -24,6 +24,7 @@ from repro.programs import (
     running_example_first_class,
     three_print,
 )
+from repro.counting.star_semantics import StarMachine
 from repro.semantics.traces import Trace
 from repro.spcf import parse
 from repro.spcf.syntax import App, Fix, If, Numeral, Prim, Sample, Score, Var
@@ -58,6 +59,15 @@ class TestStarSemantics:
         result = run_body(fix, 1, Trace([]))
         assert result.completed
         assert result.calls == 1
+
+    def test_argument_of_a_non_function_is_not_evaluated(self):
+        # Fig. 8 has no context ``r E``: ``1 sample`` is stuck before the
+        # sample consumes a draw.
+        result = StarMachine().run(App(Numeral(1), Sample()), Trace([Fraction(1, 2)]))
+        assert result.status is StarRunStatus.STUCK
+        assert result.steps == 0
+        assert result.term == App(Numeral(1), Sample())
+        assert result.trace == Trace([Fraction(1, 2)])
 
     def test_trace_exhaustion(self):
         program = printer_nonaffine(Fraction(1, 2))

@@ -1,11 +1,13 @@
 """Deep-term regression tests: the explicit-work-stack tree and term walks.
 
-``astcheck/exectree._build``, ``spcf.syntax.substitute`` and
-``spcf.syntax.free_variables`` run on explicit stacks, so recursion bodies
-far deeper than the interpreter's recursion limit (e.g. the ``nested``
-program at large rank) must neither overflow nor change results.  The
-equivalence tests compare the iterative substitution against a direct
-recursive reference implementation on binder-heavy terms.
+``astcheck/exectree._build``, ``spcf.syntax.substitute``,
+``spcf.syntax.free_variables`` and the evaluation-context walk of
+``spcf.contexts`` run on explicit stacks, so recursion bodies far deeper than
+the interpreter's recursion limit (e.g. the ``nested`` program at large rank)
+and redexes buried under thousands of context frames must neither overflow
+nor change results.  The equivalence tests compare the iterative
+substitution against a direct recursive reference implementation on
+binder-heavy terms.
 """
 
 import sys
@@ -14,6 +16,11 @@ from fractions import Fraction
 import pytest
 
 from repro.astcheck.exectree import build_execution_tree, render_tree
+from repro.counting.star_semantics import StarMachine, StarRunStatus
+from repro.intervals import Interval, IntervalMachine, IntervalNumeral, IntervalRunStatus
+from repro.intervals.trace import IntervalTrace
+from repro.semantics import CbNMachine, CbVMachine, RunStatus, Trace
+from repro.symbolic import SymbolicExplorer
 from repro.spcf.syntax import (
     App,
     Fix,
@@ -47,6 +54,15 @@ def deep_branch_body(depth: int):
             App(Var("phi"), Var("x")),
         )
     return body
+
+
+def deep_context(levels: int, zero, one):
+    """``score(score(... score(zero + one) ... + one) + one)``: the innermost
+    redex ``zero + one`` sits under ``2 * levels - 1`` context frames."""
+    term = zero
+    for _ in range(levels):
+        term = Score(Prim("add", (term, one)))
+    return term
 
 
 class LowRecursionLimit:
@@ -209,3 +225,62 @@ class TestSubstituteEquivalence:
         result = run_job(JobSpec(program="nested(1/2)", analysis="papprox"))
         assert result.status == "error"
         assert "ExecutionTreeError" in result.error
+
+
+DEEP_LEVELS = 1_500  # 3_000 frames: three times the lowered recursion limit
+
+
+def _run_concrete(machine):
+    result = machine.run(deep_context(DEEP_LEVELS, Numeral(0), Numeral(1)), Trace([]))
+    assert result.status is RunStatus.TERMINATED
+    assert result.steps == 2 * DEEP_LEVELS
+    assert result.term == Numeral(DEEP_LEVELS)
+
+
+def _run_interval():
+    def point(value):
+        return IntervalNumeral(Interval.point(value))
+
+    result = IntervalMachine().run(
+        deep_context(DEEP_LEVELS, point(0), point(1)), IntervalTrace([])
+    )
+    assert result.status is IntervalRunStatus.TERMINATED
+    assert result.steps == 2 * DEEP_LEVELS
+    assert result.term == point(DEEP_LEVELS)
+
+
+def _run_star():
+    result = StarMachine().run(
+        deep_context(DEEP_LEVELS, Numeral(0), Numeral(1)), Trace([])
+    )
+    assert result.status is StarRunStatus.COMPLETED
+    assert (result.steps, result.calls) == (2 * DEEP_LEVELS, 0)
+    assert result.term == Numeral(DEEP_LEVELS)
+
+
+def _run_symbolic():
+    explored = SymbolicExplorer().explore(
+        deep_context(DEEP_LEVELS, Numeral(0), Numeral(1)),
+        max_steps_per_path=10 * DEEP_LEVELS,
+    )
+    assert explored.complete and explored.stuck == 0
+    (path,) = explored.terminated
+    assert path.steps == 2 * DEEP_LEVELS
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: _run_concrete(CbNMachine()),
+        lambda: _run_concrete(CbVMachine()),
+        _run_interval,
+        _run_star,
+        _run_symbolic,
+    ],
+    ids=["cbn", "cbv", "interval", "star", "symbolic"],
+)
+def test_machines_reduce_under_contexts_deeper_than_the_recursion_limit(run):
+    # Each machine reaches the value: no RecursionError and no step-limit
+    # report at step 0 for a context the interpreter stack cannot hold.
+    with LowRecursionLimit():
+        run()

@@ -66,6 +66,12 @@ class TestFindRedex:
         term = App(Lam("x", Numeral(0)), Sample())
         assert isinstance(find_redex(term, Strategy.CBV), Sample)
 
+    def test_cbv_never_enters_the_argument_of_a_non_function(self):
+        # Fig. 8 has no context ``r E``: applying a numeral is the redex
+        # (stuck), its argument's conditional is never reached.
+        term = App(Numeral(1), If(Numeral(0), Numeral(1), Numeral(2)))
+        assert find_redex(term, Strategy.CBV) is term
+
     def test_redex_matches_machine_step(self):
         # Stepping the machine contracts exactly the redex found here: check
         # on a couple of configurations of the geometric program.
@@ -170,6 +176,14 @@ class TestOracleMachine:
         assert outcome.status is OracleRunStatus.MACHINE_STOPPED
         assert outcome.machine_result is not None
         assert outcome.machine_result.status is RunStatus.TRACE_EXHAUSTED
+
+    def test_ill_typed_cbv_application_stops_the_machine(self):
+        term = App(Numeral(1), If(Numeral(0), Numeral(1), Numeral(2)))
+        outcome = OracleMachine(Strategy.CBV).run(term, Trace([]), ())
+        assert outcome.status is OracleRunStatus.MACHINE_STOPPED
+        assert outcome.machine_result.status is RunStatus.STUCK
+        assert outcome.machine_result.detail == "application of a non-function value"
+        assert (outcome.steps, outcome.directions_consumed) == (0, 0)
 
     def test_membership_predicate(self):
         program = geometric(Fraction(1, 2))
