@@ -16,6 +16,7 @@ provided as module-level functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,13 @@ def as_number(value: Number) -> Union[Fraction, float]:
     raise TypeError(f"not a number: {value!r}")
 
 
+# Instance-dict key under which a compound node caches its free-variable set.
+# It is not a dataclass field, so ``==``, ``hash``, ``repr`` and
+# ``dataclasses.fields`` ignore it, and ``Term.__getstate__`` drops it.
+_FREE = "_free_variables"
+_CLOSED: FrozenSet[str] = frozenset()
+
+
 class Term:
     """Base class of all SPCF terms."""
 
@@ -52,6 +60,12 @@ class Term:
         for arg in args:
             result = App(result, arg)
         return result
+
+    def __getstate__(self):
+        """Pickle the fields only: the cached free-variable set is derived."""
+        state = dict(self.__dict__)
+        state.pop(_FREE, None)
+        return state or None
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,10 @@ class Score(Term):
     arg: Term
 
 
+_LEAVES = (Var, Numeral, Sample)
+_COMPOUND = (Lam, Fix, App, If, Prim, Score)
+
+
 def is_extension_leaf(term: Term) -> bool:
     """True for leaf-like term extensions defined outside this module.
 
@@ -149,7 +167,7 @@ def is_extension_leaf(term: Term) -> bool:
     terms.  The generic traversals below (free variables, substitution,
     alpha-equivalence, ...) treat them as closed constants.
     """
-    if isinstance(term, (Var, Numeral, Lam, Fix, App, If, Prim, Sample, Score)):
+    if isinstance(term, _LEAVES) or isinstance(term, _COMPOUND):
         return False
     if not isinstance(term, Term):
         return False
@@ -162,29 +180,34 @@ def is_value(term: Term) -> bool:
     return isinstance(term, (Var, Numeral, Lam, Fix))
 
 
+def _children(term: Term) -> Tuple[Term, ...]:
+    """The immediate subterms of a compound (``_COMPOUND``) node, in order."""
+    if isinstance(term, App):
+        return (term.fn, term.arg)
+    if isinstance(term, (Lam, Fix)):
+        return (term.body,)
+    if isinstance(term, If):
+        return (term.cond, term.then, term.orelse)
+    if isinstance(term, Prim):
+        return term.args
+    return (term.arg,)
+
+
+def _binders(term: Term) -> Tuple[str, ...]:
+    """The variables a ``Lam`` or ``Fix`` node binds in its body."""
+    return (term.var,) if isinstance(term, Lam) else (term.fvar, term.var)
+
+
 def subterms(term: Term) -> Iterator[Term]:
     """Yield every subterm of ``term`` (including ``term`` itself), pre-order."""
-    yield term
-    if isinstance(term, (Var, Numeral, Sample)) or is_extension_leaf(term):
-        return
-    if isinstance(term, Lam):
-        yield from subterms(term.body)
-    elif isinstance(term, Fix):
-        yield from subterms(term.body)
-    elif isinstance(term, App):
-        yield from subterms(term.fn)
-        yield from subterms(term.arg)
-    elif isinstance(term, If):
-        yield from subterms(term.cond)
-        yield from subterms(term.then)
-        yield from subterms(term.orelse)
-    elif isinstance(term, Prim):
-        for arg in term.args:
-            yield from subterms(arg)
-    elif isinstance(term, Score):
-        yield from subterms(term.arg)
-    else:
-        raise TypeError(f"unknown term: {term!r}")
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        yield term
+        if isinstance(term, _COMPOUND):
+            stack.extend(reversed(_children(term)))
+        elif not (isinstance(term, _LEAVES) or is_extension_leaf(term)):
+            raise TypeError(f"unknown term: {term!r}")
 
 
 def term_size(term: Term) -> int:
@@ -192,41 +215,53 @@ def term_size(term: Term) -> int:
     return sum(1 for _ in subterms(term))
 
 
+def _known_free_variables(term: Term) -> Optional[FrozenSet[str]]:
+    """The free variables of a leaf or of a node with a cached set, else None."""
+    if isinstance(term, Var):
+        return frozenset((term.name,))
+    if isinstance(term, _COMPOUND):
+        return getattr(term, _FREE, None)
+    if isinstance(term, (Numeral, Sample)) or is_extension_leaf(term):
+        return _CLOSED
+    raise TypeError(f"unknown term: {term!r}")
+
+
 def free_variables(term: Term) -> FrozenSet[str]:
     """The set of free variables of ``term``.
 
-    Walks with an explicit stack of (subterm, bound-variables) pairs: deep
-    recursion bodies (e.g. the ``nested`` program at large rank) are far
-    deeper than Python's recursion limit allows a recursive walk to be.
+    Every compound node caches its set in its instance dict (under ``_FREE``,
+    the shared ``_CLOSED`` for closed nodes); terms are immutable, so a cached
+    set never goes stale.  The walk is an iterative post-order that stops at
+    leaves and at nodes already cached, so asking again costs one lookup: the
+    closed ``mu`` unfolding that every recursive call substitutes is walked
+    once, not once per call, and deep bodies (e.g. the ``nested`` program at
+    large rank) cannot overflow the interpreter stack.  Leaves are never
+    cached, so nodes without an instance dict stay closed constants.
     """
-    collected = set()
-    stack = [(term, frozenset())]
+    known = _known_free_variables(term)
+    if known is not None:
+        return known
+    stack = [term]
     while stack:
-        term, bound = stack.pop()
-        if isinstance(term, Var):
-            if term.name not in bound:
-                collected.add(term.name)
-        elif isinstance(term, (Numeral, Sample)) or is_extension_leaf(term):
-            pass
-        elif isinstance(term, Lam):
-            stack.append((term.body, bound | {term.var}))
-        elif isinstance(term, Fix):
-            stack.append((term.body, bound | {term.fvar, term.var}))
-        elif isinstance(term, App):
-            stack.append((term.fn, bound))
-            stack.append((term.arg, bound))
-        elif isinstance(term, If):
-            stack.append((term.cond, bound))
-            stack.append((term.then, bound))
-            stack.append((term.orelse, bound))
-        elif isinstance(term, Prim):
-            for arg in term.args:
-                stack.append((arg, bound))
-        elif isinstance(term, Score):
-            stack.append((term.arg, bound))
-        else:
-            raise TypeError(f"unknown term: {term!r}")
-    return frozenset(collected)
+        node = stack[-1]
+        if getattr(node, _FREE, None) is not None:  # shared, reached twice
+            stack.pop()
+            continue
+        children = _children(node)
+        known_children = [_known_free_variables(child) for child in children]
+        if None in known_children:
+            stack.extend(
+                child
+                for child, known in zip(children, known_children)
+                if known is None
+            )
+            continue
+        stack.pop()
+        free = _CLOSED.union(*known_children)
+        if isinstance(node, (Lam, Fix)):
+            free = free.difference(_binders(node))
+        object.__setattr__(node, _FREE, free or _CLOSED)
+    return getattr(term, _FREE)
 
 
 def is_closed(term: Term) -> bool:
@@ -278,27 +313,29 @@ def _enter_binders(
     fresh variable (which no replacement key matches), and occurrences of the
     old binder name free in replacement values stay free -- exactly the
     composition the capture-avoiding two-pass scheme computes.
+
+    Only a binder in ``avoid`` (a free variable of some replacement) is
+    renamed, so the names its fresh name must avoid -- including the free
+    variables of ``body`` -- are collected only then.  Closed replacements
+    (``mu`` unfoldings, numerals) have an empty ``avoid`` and never rename.
     """
     narrowed = {name: value for name, value in replacements.items() if name not in binders}
     if not narrowed:
         return None
+    if avoid.isdisjoint(binders):
+        return binders, narrowed, avoid
     new_binders = []
-    renaming: Dict[str, Term] = {}
     taken = avoid | free_variables(body) | set(binders)
     for binder in binders:
         if binder in avoid:
             new_name = fresh_variable(binder, taken)
             taken = taken | {new_name}
-            renaming[binder] = Var(new_name)
+            narrowed[binder] = Var(new_name)
+            avoid = avoid | {new_name}
             new_binders.append(new_name)
         else:
             new_binders.append(binder)
-    combined = dict(narrowed)
-    combined.update(renaming)
-    combined_avoid = avoid | frozenset(
-        variable.name for variable in renaming.values()
-    )
-    return tuple(new_binders), combined, combined_avoid
+    return tuple(new_binders), narrowed, avoid
 
 
 def _substitute(
@@ -323,27 +360,14 @@ def _substitute(
         _, term, replacements, avoid = item
         if isinstance(term, Var):
             results.append(replacements.get(term.name, term))
-        elif isinstance(term, (Numeral, Sample)) or is_extension_leaf(term):
-            results.append(term)
-        elif isinstance(term, Lam):
-            entered = _enter_binders(term.body, (term.var,), replacements, avoid)
+        elif isinstance(term, (Lam, Fix)):
+            entered = _enter_binders(term.body, _binders(term), replacements, avoid)
             if entered is None:
                 results.append(term)
                 continue
-            (var,), combined, deeper_avoid = entered
-            work.append(("assemble", lambda done, var=var: Lam(var, done.pop())))
-            work.append(("visit", term.body, combined, deeper_avoid))
-        elif isinstance(term, Fix):
-            entered = _enter_binders(
-                term.body, (term.fvar, term.var), replacements, avoid
-            )
-            if entered is None:
-                results.append(term)
-                continue
-            (fvar, var), combined, deeper_avoid = entered
-            work.append(
-                ("assemble", lambda done, fvar=fvar, var=var: Fix(fvar, var, done.pop()))
-            )
+            binders, combined, deeper_avoid = entered
+            rebuild = functools.partial(type(term), *binders)
+            work.append(("assemble", lambda done, rebuild=rebuild: rebuild(done.pop())))
             work.append(("visit", term.body, combined, deeper_avoid))
         elif isinstance(term, App):
             def assemble_app(done):
@@ -377,6 +401,8 @@ def _substitute(
         elif isinstance(term, Score):
             work.append(("assemble", lambda done: Score(done.pop())))
             work.append(("visit", term.arg, replacements, avoid))
+        elif isinstance(term, (Numeral, Sample)) or is_extension_leaf(term):
+            results.append(term)
         else:
             raise TypeError(f"unknown term: {term!r}")
     (substituted,) = results
@@ -384,77 +410,51 @@ def _substitute(
 
 
 def alpha_equivalent(left: Term, right: Term) -> bool:
-    """Structural equality of terms up to renaming of bound variables."""
-    return _alpha(left, right, {}, {}, [0])
+    """Structural equality of terms up to renaming of bound variables.
 
-
-def _alpha(
-    left: Term,
-    right: Term,
-    left_env: Dict[str, int],
-    right_env: Dict[str, int],
-    counter,
-) -> bool:
-    if type(left) is not type(right):
-        return False
-    if isinstance(left, Var):
-        assert isinstance(right, Var)
-        left_level = left_env.get(left.name)
-        right_level = right_env.get(right.name)
-        if left_level is None and right_level is None:
-            return left.name == right.name
-        return left_level == right_level
-    if isinstance(left, Numeral):
-        assert isinstance(right, Numeral)
-        return left.value == right.value
-    if isinstance(left, Sample):
-        return True
-    if is_extension_leaf(left):
-        return left == right
-    if isinstance(left, Lam):
-        assert isinstance(right, Lam)
-        level = counter[0]
-        counter[0] += 1
-        return _alpha(
-            left.body,
-            right.body,
-            {**left_env, left.var: level},
-            {**right_env, right.var: level},
-            counter,
-        )
-    if isinstance(left, Fix):
-        assert isinstance(right, Fix)
-        level_f = counter[0]
-        level_x = counter[0] + 1
-        counter[0] += 2
-        return _alpha(
-            left.body,
-            right.body,
-            {**left_env, left.fvar: level_f, left.var: level_x},
-            {**right_env, right.fvar: level_f, right.var: level_x},
-            counter,
-        )
-    if isinstance(left, App):
-        assert isinstance(right, App)
-        return _alpha(left.fn, right.fn, left_env, right_env, counter) and _alpha(
-            left.arg, right.arg, left_env, right_env, counter
-        )
-    if isinstance(left, If):
-        assert isinstance(right, If)
-        return (
-            _alpha(left.cond, right.cond, left_env, right_env, counter)
-            and _alpha(left.then, right.then, left_env, right_env, counter)
-            and _alpha(left.orelse, right.orelse, left_env, right_env, counter)
-        )
-    if isinstance(left, Prim):
-        assert isinstance(right, Prim)
-        if left.op != right.op or len(left.args) != len(right.args):
+    Walks both terms in lockstep on an explicit stack of (left, right,
+    left_env, right_env) items; an environment maps a bound name to the level
+    of its binder pair, so deep terms cannot overflow the interpreter stack.
+    """
+    levels = itertools.count()
+    stack = [(left, right, {}, {})]
+    while stack:
+        left, right, left_env, right_env = stack.pop()
+        if type(left) is not type(right):
             return False
-        return all(
-            _alpha(a, b, left_env, right_env, counter)
-            for a, b in zip(left.args, right.args)
-        )
-    if isinstance(left, Score):
-        assert isinstance(right, Score)
-        return _alpha(left.arg, right.arg, left_env, right_env, counter)
-    raise TypeError(f"unknown term: {left!r}")
+        if isinstance(left, Var):
+            left_level = left_env.get(left.name)
+            right_level = right_env.get(right.name)
+            if left_level is None and right_level is None:
+                if left.name != right.name:
+                    return False
+            elif left_level != right_level:
+                return False
+        elif isinstance(left, (Lam, Fix)):
+            pair_levels = [next(levels) for _ in _binders(left)]
+            stack.append(
+                (
+                    left.body,
+                    right.body,
+                    {**left_env, **dict(zip(_binders(left), pair_levels))},
+                    {**right_env, **dict(zip(_binders(right), pair_levels))},
+                )
+            )
+        elif isinstance(left, _COMPOUND):
+            if isinstance(left, Prim) and (
+                left.op != right.op or len(left.args) != len(right.args)
+            ):
+                return False
+            pairs = zip(_children(left), _children(right))
+            stack.extend(
+                (a, b, left_env, right_env) for a, b in reversed(list(pairs))
+            )
+        elif isinstance(left, Numeral):
+            if left.value != right.value:
+                return False
+        elif isinstance(left, Sample) or is_extension_leaf(left):
+            if left != right:
+                return False
+        else:
+            raise TypeError(f"unknown term: {left!r}")
+    return True

@@ -1,7 +1,8 @@
 """Deep-term regression tests: the explicit-work-stack tree and term walks.
 
 ``astcheck/exectree._build``, ``spcf.syntax.substitute``,
-``spcf.syntax.free_variables`` and the evaluation-context walk of
+``spcf.syntax.free_variables``, ``spcf.syntax.subterms`` (and so
+``term_size``), ``spcf.syntax.alpha_equivalent`` and the evaluation-context walk of
 ``spcf.contexts`` run on explicit stacks, so recursion bodies far deeper than
 the interpreter's recursion limit (e.g. the ``nested`` program at large rank)
 and redexes buried under thousands of context frames must neither overflow
@@ -34,6 +35,8 @@ from repro.spcf.syntax import (
     alpha_equivalent,
     free_variables,
     substitute,
+    subterms,
+    term_size,
 )
 
 
@@ -95,6 +98,24 @@ class TestDeepTerms:
         with LowRecursionLimit():
             names = free_variables(term)
         assert names == frozenset({"phi", "x"})
+
+    def test_term_size_and_subterms_handle_deep_terms(self):
+        term = Lam("y", deep_application_chain(5_000))
+        with LowRecursionLimit():
+            size = term_size(term)
+            walk = subterms(term)
+            first = [next(walk) for _ in range(3)]
+        assert size == 1 + 2 * 5_000 + 1
+        assert first[0] is term and first[1] is term.body
+        assert first[2] is term.body.fn  # pre-order: function before argument
+
+    def test_alpha_equivalence_handles_deep_terms(self):
+        def deep(var, leaf_var):
+            return Fix("phi", var, deep_application_chain(5_000, Var(leaf_var)))
+
+        with LowRecursionLimit():
+            assert alpha_equivalent(deep("x", "x"), deep("z", "z"))
+            assert not alpha_equivalent(deep("x", "x"), deep("z", "x"))
 
     def test_execution_tree_deeper_than_the_recursion_limit(self):
         fix = Fix("phi", "x", deep_branch_body(5_000))

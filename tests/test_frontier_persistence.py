@@ -15,6 +15,7 @@ The distributed-deepening invariants (see :mod:`repro.batch.distribute`):
   sweep entries, and ``doctor`` audits their rows.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -95,6 +96,26 @@ def test_decode_encode_extend_matches_uninterrupted(name, depth, extra):
     assert restored_stats.paths_resumed == uninterrupted_stats.paths_resumed
     assert restored_stats.frontier_peak == uninterrupted_stats.frontier_peak
     assert restored_stats.frontier_restores == 1
+
+
+# SHA-256 of ``json.dumps(encode_session(s), sort_keys=True)`` after
+# ``s.extend(60)``.  Round trips above only compare encodings made by one
+# version of the code; these pin the bytes a store written by an earlier
+# version holds, so a change to substitution, fresh naming or node identity
+# that would orphan persisted frontiers fails here.
+_FRONTIER_DIGESTS = {
+    "gr": "7396773cd56c668664a6e5505c7a85b3ea5484ffcefd8245701ce483e9427b0d",
+    "1dRW(1/2,1)": "6e4140903abaddcf196d7f631d1e15552f3a996e13226de6302b04a3b6b482f3",
+    "sig-branch3(3/5)": "50344e639563d2372483b293cffcf50025dfaca8335c94b771d8c5c1d9d44e82",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FRONTIER_DIGESTS))
+def test_frontier_encoding_bytes_are_pinned_across_versions(name):
+    session = SymbolicExplorer().session(resolve_program(name).applied)
+    session.extend(60)
+    encoded = json.dumps(encode_session(session), sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == _FRONTIER_DIGESTS[name]
 
 
 def test_malformed_encodings_read_as_misses():

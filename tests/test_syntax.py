@@ -1,10 +1,14 @@
 """Tests for the SPCF abstract syntax: terms, free variables, substitution."""
 
+import dataclasses
+import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.spcf import syntax
 from repro.spcf.syntax import (
     App,
     Fix,
@@ -17,7 +21,9 @@ from repro.spcf.syntax import (
     Var,
     alpha_equivalent,
     free_variables,
+    fresh_variable,
     is_closed,
+    is_extension_leaf,
     is_value,
     subterms,
     substitute,
@@ -164,3 +170,210 @@ def test_substitution_never_introduces_new_free_variables(term, replacement):
     result = substitute(term, {target[0]: replacement})
     allowed = (free_variables(term) - {target[0]}) | free_variables(replacement)
     assert free_variables(result) <= allowed
+
+
+# -- the free-variable cache against the uncached definitions ----------------
+#
+# The reference below is the uncached substitution that ``substitute`` had
+# before free-variable sets were cached on the nodes: it re-walks every
+# replacement and collects the names a fresh binder must avoid at every
+# binder it enters.  Renaming decisions and ``_FRESH_COUNTER`` draws must not
+# depend on the cache, since fresh names reach printed terms and frontier
+# encodings.
+
+
+def _reference_free_variables(term):
+    collected = set()
+    stack = [(term, frozenset())]
+    while stack:
+        term, bound = stack.pop()
+        if isinstance(term, Var):
+            if term.name not in bound:
+                collected.add(term.name)
+        elif isinstance(term, (Numeral, Sample)) or is_extension_leaf(term):
+            pass
+        elif isinstance(term, Lam):
+            stack.append((term.body, bound | {term.var}))
+        elif isinstance(term, Fix):
+            stack.append((term.body, bound | {term.fvar, term.var}))
+        elif isinstance(term, App):
+            stack.append((term.fn, bound))
+            stack.append((term.arg, bound))
+        elif isinstance(term, If):
+            stack.append((term.cond, bound))
+            stack.append((term.then, bound))
+            stack.append((term.orelse, bound))
+        elif isinstance(term, Prim):
+            for arg in term.args:
+                stack.append((arg, bound))
+        elif isinstance(term, Score):
+            stack.append((term.arg, bound))
+        else:
+            raise TypeError(f"unknown term: {term!r}")
+    return frozenset(collected)
+
+
+def _reference_enter_binders(body, binders, replacements, avoid):
+    narrowed = {name: value for name, value in replacements.items() if name not in binders}
+    if not narrowed:
+        return None
+    new_binders = []
+    renaming = {}
+    taken = avoid | _reference_free_variables(body) | set(binders)
+    for binder in binders:
+        if binder in avoid:
+            new_name = fresh_variable(binder, taken)
+            taken = taken | {new_name}
+            renaming[binder] = Var(new_name)
+            new_binders.append(new_name)
+        else:
+            new_binders.append(binder)
+    combined = dict(narrowed)
+    combined.update(renaming)
+    combined_avoid = avoid | frozenset(variable.name for variable in renaming.values())
+    return tuple(new_binders), combined, combined_avoid
+
+
+def _reference_substitute(term, replacements):
+    if not replacements:
+        return term
+    avoid = frozenset()
+    for replacement in replacements.values():
+        avoid = avoid | _reference_free_variables(replacement)
+    return _reference_iterative_substitute(term, dict(replacements), avoid)
+
+
+def _reference_iterative_substitute(term, replacements, avoid):
+    """The reference visit order, which fresh-name draws follow: an ``App``
+    visits its argument before its function, an ``If`` its branches last to
+    first, a ``Prim`` its arguments first to last."""
+    results = []
+    work = [("visit", term, replacements, avoid)]
+    while work:
+        item = work.pop()
+        if item[0] == "assemble":
+            results.append(item[1](results))
+            continue
+        _, term, replacements, avoid = item
+        if isinstance(term, Var):
+            results.append(replacements.get(term.name, term))
+        elif isinstance(term, (Numeral, Sample)) or is_extension_leaf(term):
+            results.append(term)
+        elif isinstance(term, Lam):
+            entered = _reference_enter_binders(term.body, (term.var,), replacements, avoid)
+            if entered is None:
+                results.append(term)
+                continue
+            (var,), combined, deeper_avoid = entered
+            work.append(("assemble", lambda done, var=var: Lam(var, done.pop())))
+            work.append(("visit", term.body, combined, deeper_avoid))
+        elif isinstance(term, Fix):
+            entered = _reference_enter_binders(
+                term.body, (term.fvar, term.var), replacements, avoid
+            )
+            if entered is None:
+                results.append(term)
+                continue
+            (fvar, var), combined, deeper_avoid = entered
+            work.append(
+                ("assemble", lambda done, fvar=fvar, var=var: Fix(fvar, var, done.pop()))
+            )
+            work.append(("visit", term.body, combined, deeper_avoid))
+        elif isinstance(term, App):
+            def assemble_app(done):
+                fn = done.pop()
+                arg = done.pop()
+                return App(fn, arg)
+
+            work.append(("assemble", assemble_app))
+            work.append(("visit", term.fn, replacements, avoid))
+            work.append(("visit", term.arg, replacements, avoid))
+        elif isinstance(term, If):
+            def assemble_if(done):
+                cond = done.pop()
+                then = done.pop()
+                orelse = done.pop()
+                return If(cond, then, orelse)
+
+            work.append(("assemble", assemble_if))
+            work.append(("visit", term.cond, replacements, avoid))
+            work.append(("visit", term.then, replacements, avoid))
+            work.append(("visit", term.orelse, replacements, avoid))
+        elif isinstance(term, Prim):
+            def assemble_prim(done, op=term.op, count=len(term.args)):
+                args = [done.pop() for _ in range(count)]  # newest-first
+                args.reverse()
+                return Prim(op, tuple(args))
+
+            work.append(("assemble", assemble_prim))
+            for arg in reversed(term.args):
+                work.append(("visit", arg, replacements, avoid))
+        elif isinstance(term, Score):
+            work.append(("assemble", lambda done: Score(done.pop())))
+            work.append(("visit", term.arg, replacements, avoid))
+        else:
+            raise TypeError(f"unknown term: {term!r}")
+    (substituted,) = results
+    return substituted
+
+
+def _with_fresh_counter(run):
+    """``run()`` from a reset fresh-name counter: its result and counter draws."""
+    syntax._FRESH_COUNTER = itertools.count()
+    result = run()
+    return result, next(syntax._FRESH_COUNTER)
+
+
+_replacements = st.dictionaries(
+    st.sampled_from(["x", "y", "z", "phi"]), _terms(2), max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms(3), _replacements)
+def test_cached_substitution_matches_the_uncached_reference(term, replacements):
+    saved = syntax._FRESH_COUNTER
+    try:
+        expected, expected_draws = _with_fresh_counter(
+            lambda: _reference_substitute(term, replacements)
+        )
+        # First call fills the caches of term and replacements; second hits them.
+        for _ in range(2):
+            actual, draws = _with_fresh_counter(lambda: substitute(term, replacements))
+            assert actual == expected
+            assert repr(actual) == repr(expected)
+            assert draws == expected_draws
+            assert free_variables(actual) == _reference_free_variables(expected)
+            for sub in subterms(term):
+                assert free_variables(sub) == _reference_free_variables(sub)
+    finally:
+        syntax._FRESH_COUNTER = saved
+
+
+def test_open_replacements_exercise_renaming():
+    # The differential test is only as strong as its renaming cases: the
+    # generated binders x, y and phi collide with open replacement values.
+    term = Fix("phi", "x", App(Var("phi"), Lam("y", Var("z"))))
+    replacements = {"z": App(Var("x"), Var("y"))}
+    expected, draws = _with_fresh_counter(lambda: _reference_substitute(term, replacements))
+    assert draws > 0
+    assert _with_fresh_counter(lambda: substitute(term, replacements)) == (expected, draws)
+
+
+def test_the_free_variable_cache_is_invisible():
+    def build():
+        body = If(Var("x"), App(Var("phi"), Var("y")), Prim("add", (Sample(), Var("z"))))
+        return Lam("z", App(Fix("phi", "x", Score(body)), Numeral(Fraction(1, 3))))
+
+    term = build()
+    before = (pickle.dumps(term), repr(term), hash(term), dataclasses.fields(term))
+    assert free_variables(term) == frozenset({"y"})
+    assert getattr(term.body.fn, "_free_variables") == frozenset({"y", "z"})  # cached
+    after = (pickle.dumps(term), repr(term), hash(term), dataclasses.fields(term))
+    assert after == before
+    assert term == build() and build() == term
+    restored = pickle.loads(pickle.dumps(term))
+    assert restored == term
+    assert not hasattr(restored, "_free_variables")
+    # A node without fields still pickles to the same bytes as before.
+    assert pickle.loads(pickle.dumps(Sample())) == Sample()
