@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.randomwalk.step_distribution import CountingDistribution
+from repro.spcf.contexts import unfold
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
 from repro.spcf.syntax import (
     App,
@@ -459,11 +460,8 @@ class _CallTreeEvaluator:
                 value, subtree = self.run(arg.value)
                 children.append(subtree)
                 return Numeral(value)
-            if isinstance(fn, Lam):
-                return self._eval(substitute(fn.body, {fn.var: arg}), children)
-            if isinstance(fn, Fix):
-                unfolded = substitute(fn.body, {fn.var: arg, fn.fvar: fn})
-                return self._eval(unfolded, children)
+            if isinstance(fn, (Lam, Fix)):
+                return self._eval(unfold(fn, arg), children)
             raise CallTreeBudgetExceeded("application of a non-function value")
         if isinstance(term, If):
             cond = self._eval(term.cond, children)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.spcf.contexts import unfold
 from repro.spcf.primitives import PrimitiveRegistry, default_registry
 from repro.spcf.syntax import (
     App,
@@ -194,11 +195,8 @@ class SummaryMachine:
                     )
                 state.summaries.append(entry)
                 return Numeral(entry.result)
-            if isinstance(fn, Lam):
-                return self._eval(substitute(fn.body, {fn.var: arg}), state)
-            if isinstance(fn, Fix):
-                unfolded = substitute(fn.body, {fn.var: arg, fn.fvar: fn})
-                return self._eval(unfolded, state)
+            if isinstance(fn, (Lam, Fix)):
+                return self._eval(unfold(fn, arg), state)
             raise _Stop(SummaryRunStatus.STUCK, "application of a non-function value")
         if isinstance(term, If):
             cond = self._eval(term.cond, state)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, List, Optional, Tuple
 
-from repro.spcf.syntax import App, Fix, If, Lam, Prim, Score, Term, substitute
+from repro.spcf.syntax import App, Fix, If, Lam, Prim, Score, Term, substitute, unfold_fix
 
 
 class Strategy(enum.Enum):
@@ -80,7 +80,7 @@ def unfold(function: Term, argument: Term) -> Term:
     ``M[N/x, mu phi x. M/phi]``."""
     if isinstance(function, Lam):
         return substitute(function.body, {function.var: argument})
-    return substitute(function.body, {function.var: argument, function.fvar: function})
+    return unfold_fix(function, argument)
 
 
 def plug(frames: Frames, term: Term) -> Term:

@@ -136,9 +136,14 @@ class _Parser:
         if self.at("keyword", "mu") or self.at("keyword", "fix"):
             self.advance()
             fvar = self.expect("ident").text
-            var = self.expect("ident").text
+            token = self.expect("ident")
+            if token.text == fvar:
+                raise ParseError(
+                    f"mu binds {fvar!r} twice at offset {token.position}: the function "
+                    "and its argument need distinct names"
+                )
             self.expect("symbol", ".")
-            return Fix(fvar, var, self.parse_term())
+            return Fix(fvar, token.text, self.parse_term())
         if self.at("keyword", "let"):
             self.advance()
             var = self.expect("ident").text

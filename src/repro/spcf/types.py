@@ -148,6 +148,10 @@ def _infer(term: Term, env: Mapping[str, SimpleType], registry: PrimitiveRegistr
         extended = {**env, term.var: parameter}
         return ArrowType(parameter, _infer(term.body, extended, registry))
     if isinstance(term, Fix):
+        if term.fvar == term.var:
+            # mu phi x. M has two distinct binders; with one name the
+            # unfolding M[N/x, mu phi x. M/phi] would have to pick one.
+            raise TypeError_(f"fixpoint binds {term.var!r} as both function and argument")
         parameter = _guess_parameter_type(term.body, term.var)
         # The paper's benchmark programs are first-order recursions R -> R;
         # we first try result type R and fall back to a search over small

@@ -2,7 +2,8 @@
 
 ``astcheck/exectree._build``, ``spcf.syntax.substitute``,
 ``spcf.syntax.free_variables``, ``spcf.syntax.subterms`` (and so
-``term_size``), ``spcf.syntax.alpha_equivalent`` and the evaluation-context walk of
+``term_size``), ``spcf.syntax.alpha_equivalent``, the ``==``, ``hash`` and
+``repr`` of compound terms, and the evaluation-context walk of
 ``spcf.contexts`` run on explicit stacks, so recursion bodies far deeper than
 the interpreter's recursion limit (e.g. the ``nested`` program at large rank)
 and redexes buried under thousands of context frames must neither overflow
@@ -116,6 +117,18 @@ class TestDeepTerms:
         with LowRecursionLimit():
             assert alpha_equivalent(deep("x", "x"), deep("z", "z"))
             assert not alpha_equivalent(deep("x", "x"), deep("z", "x"))
+
+    def test_equality_hash_and_repr_handle_deep_terms(self):
+        left = Lam("y", deep_application_chain(5_000))
+        right = Lam("y", deep_application_chain(5_000))
+        other = Lam("y", deep_application_chain(5_000, Var("z")))
+        with LowRecursionLimit():
+            assert left == right and left != other
+            assert hash(left) == hash(right)
+            text = repr(left)
+        assert text.startswith("Lam(var='y', body=App(fn=Var('phi'), arg=App(")
+        assert text.endswith("arg=Var('x'))" + ")" * 5_000)
+        assert text.count("App(fn=Var('phi'), arg=") == 5_000
 
     def test_execution_tree_deeper_than_the_recursion_limit(self):
         fix = Fix("phi", "x", deep_branch_body(5_000))

@@ -28,6 +28,7 @@ from repro.spcf.syntax import (
     subterms,
     substitute,
     term_size,
+    unfold_fix,
 )
 
 
@@ -170,6 +171,45 @@ def test_substitution_never_introduces_new_free_variables(term, replacement):
     result = substitute(term, {target[0]: replacement})
     allowed = (free_variables(term) - {target[0]}) | free_variables(replacement)
     assert free_variables(result) <= allowed
+
+
+# The compound terms compare, hash and print iteratively; the dataclass-
+# generated methods they replace are the reference.  Each mirror class is a
+# plain frozen dataclass with the same name and fields.
+_MIRRORS = {
+    cls: dataclasses.make_dataclass(
+        cls.__name__, [field.name for field in dataclasses.fields(cls)], frozen=True
+    )
+    for cls in (Lam, Fix, App, If, Prim, Score)
+}
+
+
+def _mirror(term):
+    mirror = _MIRRORS.get(type(term))
+    if mirror is None:
+        return term
+    values = []
+    for field in dataclasses.fields(term):
+        value = getattr(term, field.name)
+        if field.name == "args":
+            value = tuple(_mirror(arg) for arg in value)
+        elif not isinstance(value, str):
+            value = _mirror(value)
+        values.append(value)
+    return mirror(*values)
+
+
+@given(_terms(3), _terms(3))
+def test_equality_hash_and_repr_are_the_dataclass_methods(left, right):
+    for term in (left, right):
+        assert repr(term) == repr(_mirror(term))
+        assert hash(term) == hash(_mirror(term))
+        assert hash(term) == hash(term)  # cached
+    assert (left == right) == (_mirror(left) == _mirror(right))
+    assert (left != right) == (_mirror(left) != _mirror(right))
+    assert left == pickle.loads(pickle.dumps(left))
+    single = Prim("neg", (left,))
+    assert repr(single) == repr(_mirror(single))
 
 
 # -- the free-variable cache against the uncached definitions ----------------
@@ -377,3 +417,136 @@ def test_the_free_variable_cache_is_invisible():
     assert not hasattr(restored, "_free_variables")
     # A node without fields still pickles to the same bytes as before.
     assert pickle.loads(pickle.dumps(Sample())) == Sample()
+
+
+def test_the_unfolding_builder_is_invisible():
+    def build():
+        body = If(Var("x"), App(Var("phi"), Var("x")), Prim("add", (Sample(), Var("x"))))
+        return App(Fix("phi", "x", Score(body)), Numeral(Fraction(1, 3)))
+
+    term = build()
+    fix = term.fn
+    before = (pickle.dumps(term), repr(term), hash(term), dataclasses.fields(fix))
+    for _ in range(syntax.COMPILE_AT_UNFOLDING):
+        unfold_fix(fix, term.arg)
+    assert callable(getattr(fix, "_unfold_builder"))  # attached
+    assert getattr(fix, "_unfoldings") == syntax.COMPILE_AT_UNFOLDING
+    after = (pickle.dumps(term), repr(term), hash(term), dataclasses.fields(fix))
+    assert after == before
+    assert term == build() and build() == term
+    restored = pickle.loads(pickle.dumps(term))
+    assert restored == term
+    for key in ("_unfold_builder", "_unfoldings", "_hash", "_free_variables"):
+        assert not hasattr(restored.fn, key)
+
+
+def test_a_fix_unfolded_fewer_times_than_the_threshold_never_compiles():
+    fix = Fix("phi", "x", If(Sample(), Var("x"), App(Var("phi"), Var("x"))))
+    argument = Numeral(Fraction(1, 2))
+    expected = substitute(fix.body, {"x": argument, "phi": fix})
+    for count in range(1, syntax.COMPILE_AT_UNFOLDING):
+        assert unfold_fix(fix, argument) == expected
+        assert getattr(fix, "_unfoldings") == count
+        assert not hasattr(fix, "_unfold_builder")
+    assert unfold_fix(fix, argument) == expected
+    assert hasattr(fix, "_unfold_builder")
+
+
+def test_open_fixes_and_open_arguments_unfold_generically():
+    # An open fix never compiles; a compiled fix on an open argument falls
+    # back to the capture-avoiding substitution, which renames the binder.
+    open_fix = Fix("phi", "x", App(Var("phi"), Var("z")))
+    for _ in range(2 * syntax.COMPILE_AT_UNFOLDING):
+        unfold_fix(open_fix, Numeral(0))
+    assert not hasattr(open_fix, "_unfold_builder")
+    fix = Fix("phi", "x", Lam("y", App(Var("phi"), Var("x"))))
+    for _ in range(syntax.COMPILE_AT_UNFOLDING):
+        unfold_fix(fix, Numeral(0))
+    assert hasattr(fix, "_unfold_builder")
+    saved = syntax._FRESH_COUNTER
+    try:
+        expected = _with_fresh_counter(
+            lambda: substitute(fix.body, {"x": Var("y"), "phi": fix})
+        )
+        actual = _with_fresh_counter(lambda: unfold_fix(fix, Var("y")))
+    finally:
+        syntax._FRESH_COUNTER = saved
+    assert actual == expected and actual[1] > 0
+    assert actual[0].var != "y" and free_variables(actual[0]) == frozenset({"y"})
+
+
+# -- the compiled unfolding against the generic substitution -----------------
+
+_BINDERS = ["x", "phi", "y"]
+
+
+def _bodies(depth):
+    """Fix bodies over x, phi and y whose inner binders shadow x or phi."""
+    leaf = st.one_of(
+        st.builds(Numeral, st.integers(min_value=-3, max_value=3)),
+        st.builds(Var, st.sampled_from(_BINDERS)),
+        st.just(Sample()),
+    )
+    if depth == 0:
+        return leaf
+    smaller = _bodies(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Lam, st.sampled_from(_BINDERS), smaller),
+        st.builds(Fix, st.sampled_from(_BINDERS), st.sampled_from(_BINDERS), smaller),
+        st.builds(App, smaller, smaller),
+        st.builds(If, smaller, smaller, smaller),
+        st.builds(lambda args: Prim("add", tuple(args)), st.lists(smaller, max_size=3)),
+        st.builds(Score, smaller),
+    )
+
+
+def _closed_fix(body):
+    fix = Fix("phi", "x", body)
+    return Fix("phi", "x", Lam("y", body)) if free_variables(fix) else fix
+
+
+_closed_arguments = st.sampled_from(
+    [Numeral(Fraction(1, 3)), Sample(), App(Lam("y", Var("y")), Numeral(2))]
+)
+
+
+def _assert_same_sharing(actual, expected, originals, inserted):
+    """Position by position: the same inserted object, the same shared node
+    of the body, or a fresh node in both."""
+    fresh = []
+    stack = [(actual, expected)]
+    while stack:
+        left, right = stack.pop()
+        if any(right is value for value in inserted) or id(right) in originals:
+            assert left is right
+            continue
+        assert id(left) not in originals and not any(left is value for value in inserted)
+        assert type(left) is type(right)
+        fresh.append(left)
+        stack.extend(zip(syntax._children(left), syntax._children(right)))
+    return fresh
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bodies(4), _closed_arguments)
+def test_the_compiled_unfolding_is_the_substitution_node_for_node(body, argument):
+    fix = _closed_fix(body)
+    replacements = {"x": argument, "phi": fix}
+    saved = syntax._FRESH_COUNTER
+    try:
+        expected, expected_draws = _with_fresh_counter(
+            lambda: syntax._substitute(fix.body, replacements, frozenset())
+        )
+        build = syntax._compile_unfolding(fix)
+        actual, draws = _with_fresh_counter(lambda: build(argument, fix))
+    finally:
+        syntax._FRESH_COUNTER = saved
+    assert draws == expected_draws
+    assert actual == expected
+    assert repr(actual) == repr(expected)
+    originals = {id(node) for node in subterms(fix.body)}
+    fresh = _assert_same_sharing(actual, expected, originals, (argument, fix))
+    for node in fresh:
+        stamp = getattr(node, "_free_variables")
+        assert stamp == free_variables(pickle.loads(pickle.dumps(node)))

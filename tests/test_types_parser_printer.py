@@ -59,6 +59,14 @@ class TestSimpleTypes:
         with pytest.raises(TypeError_):
             typecheck(Numeral(1), expected=ArrowType(REAL, REAL))
 
+    def test_fixpoint_with_one_name_for_both_binders_is_rejected(self):
+        # The argument must not shadow the function in the typing environment:
+        # every machine's unfolding lets the function win, so typing
+        # (mu f f. f + 1) 3 at R would type a program that gets stuck.
+        term = App(Fix("f", "f", Prim("add", (Var("f"), Numeral(1)))), Numeral(3))
+        with pytest.raises(TypeError_, match="both function and argument"):
+            typecheck(term)
+
     def test_every_benchmark_program_is_simply_typable(self):
         for program in {**table1_programs(), **table2_programs()}.values():
             assert typecheck(program.applied) == REAL
@@ -99,6 +107,11 @@ class TestParser:
 
     def test_parse_score(self):
         assert parse("score(sample)") == Score(Sample())
+
+    def test_parse_rejects_a_mu_binding_one_name_twice(self):
+        with pytest.raises(ParseError, match="binds 'f' twice at offset 6"):
+            parse("(mu f f. f + 1) 3")
+        assert parse("mu f g. f g") == Fix("f", "g", App(Var("f"), Var("g")))
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
