@@ -101,6 +101,26 @@ def seal_document(document: dict) -> dict:
     return sealed
 
 
+_VERSION_TAIL = f',"version":{CACHE_VERSION}}}'
+"""How the canonical JSON of a sealed payload ends: ``version`` sorts last."""
+
+
+def _sealed_text(document: dict) -> str:
+    """``_canonical(seal_document(document))``, from one JSON dump.
+
+    Every key of the store's documents (``"entry"``, ``"result"``) sorts
+    before ``"sha256"``, so the canonical payload ends with the ``version``
+    member and the checksum member slots in just before it.  Any other
+    document (an empty one, or one with a later key) takes the two-dump
+    route.
+    """
+    if not document or not all(key < "sha256" for key in document):
+        return _canonical(seal_document(document))
+    payload = _canonical({**document, "version": CACHE_VERSION})
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return f'{payload[: -len(_VERSION_TAIL)]},"sha256":"{digest}"{_VERSION_TAIL}'
+
+
 def verify_payload(document) -> Tuple[str, Optional[dict]]:
     """Verify one parsed envelope, without side effects.
 
@@ -380,7 +400,7 @@ class SqliteStore:
         """Persist a finished job (error results are recomputed, not cached)."""
         if not result.ok:
             return
-        document = _canonical(seal_document({"result": result.to_cache_dict()}))
+        document = _sealed_text({"result": result.to_cache_dict()})
         with self._transaction() as connection:
             connection.execute(
                 "INSERT OR REPLACE INTO jobs (key, document) VALUES (?, ?)",
@@ -552,7 +572,7 @@ class SqliteStore:
         if run is None:
             run = self.run_counter()
         rows = [
-            (key, _canonical(seal_document({"entry": list(entry)})))
+            (key, _sealed_text({"entry": list(entry)}))
             for key, entry in sorted(new_entries.items())
         ]
         with self._transaction() as connection:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import gc
 import json
 import os
 import time
@@ -212,6 +213,13 @@ class AnalysisDaemon:
         return {
             "counters": self.counters.as_dict(),
             "engine": self.engine.stats.as_dict(),
+            # Read-only: the collector as the process entry point left it
+            # (``python -m repro`` freezes the start-up heap).
+            "gc": {
+                "frozen": gc.get_freeze_count(),
+                "generations": gc.get_stats(),
+                "threshold": list(gc.get_threshold()),
+            },
             "inflight": len(self._inflight),
             "sessions": {
                 name: {"program": program, "max_steps": session.max_steps}

@@ -127,122 +127,154 @@ def _decode_number(encoded):
 # ---------------------------------------------------------------------------
 
 
-class _Table:
-    """Accumulates encoded term/value nodes, deduplicated by identity.
+def _encode_nodes(session_nodes) -> Tuple[List[list], List[list]]:
+    """Encode session nodes in one pass: ``(node table, node records)``.
 
-    Terms are immutable and (thanks to substitution) massively shared; the
-    memo keys on ``id`` and retains the object itself, so an id cannot be
-    recycled mid-encode.
+    Terms and symbolic values go into one table shared by every record,
+    deduplicated by identity: ``memo`` maps ``id(obj)`` to the object's table
+    index, and ``keep`` holds each encoded object so an id cannot be recycled
+    mid-encode.  Terms are immutable and (thanks to substitution) massively
+    shared, so most lookups hit.
+
+    Each object is encoded post-order with an explicit stack: children, left
+    to right, are emitted before their parent, so every child reference is a
+    smaller index -- exactly the property the one-pass decoder relies on.  A
+    node stays on the stack until its children are in the table; the type
+    dispatch is on the exact class.
     """
+    table: List[list] = []
+    memo: Dict[int, int] = {}
+    keep: List[object] = []
+    get = memo.get
 
-    def __init__(self) -> None:
-        self.nodes: List[list] = []
-        self._memo: Dict[int, Tuple[object, int]] = {}
+    def encode(root) -> int:
+        found = get(id(root))
+        if found is not None:
+            return found
+        stack = [root]
+        push = stack.append
+        while stack:
+            obj = stack[-1]
+            key = id(obj)
+            if key in memo:
+                stack.pop()
+                continue
+            cls = type(obj)
+            if cls is App:
+                fn = get(id(obj.fn))
+                arg = get(id(obj.arg))
+                if fn is None or arg is None:
+                    if arg is None:
+                        push(obj.arg)
+                    if fn is None:
+                        push(obj.fn)
+                    continue
+                node = ["@", fn, arg]
+            elif cls is Var:
+                node = ["v", obj.name]
+            elif cls is PrimVal:
+                args = [get(id(arg)) for arg in obj.args]
+                if None in args:
+                    stack.extend(reversed(obj.args))
+                    continue
+                node = ["p", obj.op, args]
+            elif cls is SampleVar:
+                node = ["s", obj.index]
+            elif cls is Lam:
+                body = get(id(obj.body))
+                if body is None:
+                    push(obj.body)
+                    continue
+                node = ["l", obj.var, body]
+            elif cls is If:
+                cond = get(id(obj.cond))
+                then = get(id(obj.then))
+                orelse = get(id(obj.orelse))
+                if cond is None or then is None or orelse is None:
+                    if orelse is None:
+                        push(obj.orelse)
+                    if then is None:
+                        push(obj.then)
+                    if cond is None:
+                        push(obj.cond)
+                    continue
+                node = ["if", cond, then, orelse]
+            elif cls is ConstVal:
+                node = ["c", _encode_number(obj.value)]
+            elif cls is Numeral:
+                node = ["n", _encode_number(obj.value)]
+            elif cls is Prim:
+                args = [get(id(arg)) for arg in obj.args]
+                if None in args:
+                    stack.extend(reversed(obj.args))
+                    continue
+                node = ["pr", obj.op, args]
+            elif cls is Fix:
+                body = get(id(obj.body))
+                if body is None:
+                    push(obj.body)
+                    continue
+                node = ["fx", obj.fvar, obj.var, body]
+            elif cls is SymNumeral:
+                value = get(id(obj.value))
+                if value is None:
+                    push(obj.value)
+                    continue
+                node = ["sn", value]
+            elif cls is Score:
+                arg = get(id(obj.arg))
+                if arg is None:
+                    push(obj.arg)
+                    continue
+                node = ["sc", arg]
+            elif cls is Sample:
+                node = ["smp"]
+            elif cls is RecMarker:
+                node = ["mu"]
+            elif cls is ArgVal:
+                node = ["arg"]
+            elif cls is StarVal:
+                node = ["*"]
+            else:
+                raise _Malformed(f"unencodable object {obj!r}")
+            stack.pop()
+            memo[key] = len(table)
+            table.append(node)
+            keep.append(obj)
+        return memo[id(root)]
 
-    def index_of(self, obj) -> Optional[int]:
-        record = self._memo.get(id(obj))
-        return record[1] if record is not None else None
+    def constraints(constraint_set: ConstraintSet) -> list:
+        return [
+            [constraint.relation.name, encode(constraint.value)]
+            for constraint in constraint_set
+        ]
 
-    def add(self, obj, node: list) -> int:
-        index = len(self.nodes)
-        self.nodes.append(node)
-        self._memo[id(obj)] = (obj, index)
-        return index
-
-
-def _encode_into(table: _Table, root) -> int:
-    """Encode a term or symbolic value into ``table``; returns its index.
-
-    Post-order with an explicit stack: children are emitted before their
-    parent, so every child reference is a smaller index -- which is also
-    exactly the property the one-pass decoder relies on.
-    """
-    existing = table.index_of(root)
-    if existing is not None:
-        return existing
-    work: List[Tuple[str, object]] = [("visit", root)]
-    while work:
-        tag, obj = work.pop()
-        if tag == "assemble":
-            _assemble(table, obj)
-            continue
-        if table.index_of(obj) is not None:
-            continue
-        children = _children(obj)
-        if not children:
-            _assemble(table, obj)
-            continue
-        work.append(("assemble", obj))
-        for child in reversed(children):
-            work.append(("visit", child))
-    index = table.index_of(root)
-    if index is None:  # pragma: no cover - defensive
-        raise _Malformed(f"unencodable object {root!r}")
-    return index
-
-
-def _children(obj) -> tuple:
-    if isinstance(obj, Lam):
-        return (obj.body,)
-    if isinstance(obj, Fix):
-        return (obj.body,)
-    if isinstance(obj, App):
-        return (obj.fn, obj.arg)
-    if isinstance(obj, If):
-        return (obj.cond, obj.then, obj.orelse)
-    if isinstance(obj, Prim):
-        return obj.args
-    if isinstance(obj, Score):
-        return (obj.arg,)
-    if isinstance(obj, SymNumeral):
-        return (obj.value,)
-    if isinstance(obj, PrimVal):
-        return obj.args
-    return ()
-
-
-def _assemble(table: _Table, obj) -> None:
-    """Emit the table node for ``obj``, whose children are already encoded."""
-    if table.index_of(obj) is not None:
-        return
-    ref = table.index_of
-    if isinstance(obj, Var):
-        node = ["v", obj.name]
-    elif isinstance(obj, Numeral):
-        node = ["n", _encode_number(obj.value)]
-    elif isinstance(obj, SymNumeral):
-        node = ["sn", ref(obj.value)]
-    elif isinstance(obj, Lam):
-        node = ["l", obj.var, ref(obj.body)]
-    elif isinstance(obj, Fix):
-        node = ["fx", obj.fvar, obj.var, ref(obj.body)]
-    elif isinstance(obj, App):
-        node = ["@", ref(obj.fn), ref(obj.arg)]
-    elif isinstance(obj, If):
-        node = ["if", ref(obj.cond), ref(obj.then), ref(obj.orelse)]
-    elif isinstance(obj, Prim):
-        node = ["pr", obj.op, [ref(arg) for arg in obj.args]]
-    elif isinstance(obj, Sample):
-        node = ["smp"]
-    elif isinstance(obj, Score):
-        node = ["sc", ref(obj.arg)]
-    elif isinstance(obj, RecMarker):
-        node = ["mu"]
-    elif isinstance(obj, ConstVal):
-        node = ["c", _encode_number(obj.value)]
-    elif isinstance(obj, SampleVar):
-        node = ["s", obj.index]
-    elif isinstance(obj, ArgVal):
-        node = ["arg"]
-    elif isinstance(obj, StarVal):
-        node = ["*"]
-    elif isinstance(obj, PrimVal):
-        node = ["p", obj.op, [ref(arg) for arg in obj.args]]
-    else:
-        raise _Malformed(f"unencodable object {obj!r}")
-    if any(part is None for part in node):  # pragma: no cover - defensive
-        raise _Malformed("child encoded after parent")
-    table.add(obj, node)
+    records = []
+    for node in session_nodes:
+        bits = [1 if branch else 0 for branch in _node_branches(node)]
+        state = node.state
+        if state == _SUSPENDED:
+            configuration = node.configuration
+            payload: Any = [
+                encode(configuration.term),
+                constraints(configuration.constraints),
+                configuration.next_variable,
+                configuration.steps,
+            ]
+        elif state == _TERMINATED:
+            path = node.path
+            payload = [
+                constraints(path.constraints),
+                path.num_variables,
+                path.steps,
+                encode(path.result),
+            ]
+        elif state == _STUCK:
+            payload = node.reason
+        else:  # _BRANCHED
+            payload = None
+        records.append([bits, state, bool(node.started), payload])
+    return table, records
 
 
 def _decode_table(nodes) -> List[object]:
@@ -317,13 +349,6 @@ def _decode_table(nodes) -> List[object]:
 # ---------------------------------------------------------------------------
 
 
-def _encode_constraints(table: _Table, constraints: ConstraintSet) -> list:
-    return [
-        [constraint.relation.name, _encode_into(table, constraint.value)]
-        for constraint in constraints
-    ]
-
-
 def _decode_constraints(encoded, decoded_table) -> ConstraintSet:
     if not isinstance(encoded, list):
         raise _Malformed("bad constraint list")
@@ -348,31 +373,6 @@ def _decode_constraints(encoded, decoded_table) -> ConstraintSet:
 # ---------------------------------------------------------------------------
 # Sessions.
 # ---------------------------------------------------------------------------
-
-
-def _encode_node(table: _Table, node: _SessionNode) -> list:
-    bits = [1 if branch else 0 for branch in _node_branches(node)]
-    if node.state == _SUSPENDED:
-        configuration = node.configuration
-        payload: Any = [
-            _encode_into(table, configuration.term),
-            _encode_constraints(table, configuration.constraints),
-            configuration.next_variable,
-            configuration.steps,
-        ]
-    elif node.state == _TERMINATED:
-        path = node.path
-        payload = [
-            _encode_constraints(table, path.constraints),
-            path.num_variables,
-            path.steps,
-            _encode_into(table, path.result),
-        ]
-    elif node.state == _STUCK:
-        payload = node.reason
-    else:  # _BRANCHED
-        payload = None
-    return [bits, node.state, bool(node.started), payload]
 
 
 def _node_branches(node: _SessionNode) -> Tuple[bool, ...]:
@@ -451,15 +451,14 @@ def encode_session(session: ExplorationSession) -> list:
     own statistics contribution -- everything :func:`decode_session` needs to
     continue the exploration bit-identically.
     """
-    table = _Table()
-    nodes = [_encode_node(table, node) for _key, node in session._nodes]
+    table, nodes = _encode_nodes(node for _key, node in session._nodes)
     steps, resumed, peak = session_counters(session)
     return [
         CODEC_VERSION,
         session.max_paths,
         session.max_steps,
         [steps, resumed, peak],
-        table.nodes,
+        table,
         nodes,
     ]
 
@@ -567,15 +566,14 @@ def split_session(session: ExplorationSession, shard_count: int) -> List[list]:
         size = base + (1 if shard < remainder else 0)
         chunk = frontier[start : start + size]
         start += size
-        table = _Table()
-        encoded_nodes = [_encode_node(table, node) for _key, node in chunk]
+        table, encoded_nodes = _encode_nodes(node for _key, node in chunk)
         shards.append(
             [
                 CODEC_VERSION,
                 session.max_paths,
                 session.max_steps,
                 [0, 0, 0],
-                table.nodes,
+                table,
                 encoded_nodes,
             ]
         )

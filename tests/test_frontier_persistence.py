@@ -15,6 +15,7 @@ The distributed-deepening invariants (see :mod:`repro.batch.distribute`):
   sweep entries, and ``doctor`` audits their rows.
 """
 
+import asyncio
 import hashlib
 import json
 from fractions import Fraction
@@ -42,13 +43,36 @@ from repro.programs import (
     sigmoid_branching,
     sigmoid_tri_branching,
 )
+from repro.spcf.syntax import App, Fix, If, Lam, Numeral, Prim, Sample, Score, Var
 from repro.symbolic import SymbolicExplorer
 from repro.symbolic.codec import (
     CODEC_VERSION,
+    _encode_nodes,
+    _encode_number,
+    _node_branches,
     decode_session,
     encode_session,
     session_counters,
     split_session,
+)
+from repro.symbolic.constraints import Constraint, ConstraintSet, Relation
+from repro.symbolic.execute import (
+    RecMarker,
+    _BRANCHED,
+    _Configuration,
+    _SessionNode,
+    _STUCK,
+    _SUSPENDED,
+    _TERMINATED,
+    _node_key,
+)
+from repro.symbolic.values import (
+    ArgVal,
+    ConstVal,
+    PrimVal,
+    SampleVar,
+    StarVal,
+    SymNumeral,
 )
 
 _PROGRAMS = {
@@ -116,6 +140,292 @@ def test_frontier_encoding_bytes_are_pinned_across_versions(name):
     session.extend(60)
     encoded = json.dumps(encode_session(session), sort_keys=True).encode()
     assert hashlib.sha256(encoded).hexdigest() == _FRONTIER_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass encoder writes the bytes of the earlier two-pass encoder.
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceTable:
+    """The earlier encoder's table: ``id -> (object, index)``, double lookups."""
+
+    def __init__(self):
+        self.nodes = []
+        self._memo = {}
+
+    def index_of(self, obj):
+        record = self._memo.get(id(obj))
+        return record[1] if record is not None else None
+
+    def add(self, obj, node):
+        self._memo[id(obj)] = (obj, len(self.nodes))
+        self.nodes.append(node)
+
+
+def _reference_children(obj):
+    if isinstance(obj, (Lam, Fix)):
+        return (obj.body,)
+    if isinstance(obj, App):
+        return (obj.fn, obj.arg)
+    if isinstance(obj, If):
+        return (obj.cond, obj.then, obj.orelse)
+    if isinstance(obj, (Prim, PrimVal)):
+        return obj.args
+    if isinstance(obj, Score):
+        return (obj.arg,)
+    if isinstance(obj, SymNumeral):
+        return (obj.value,)
+    return ()
+
+
+def _reference_assemble(table, obj):
+    if table.index_of(obj) is not None:
+        return
+    ref = table.index_of
+    if isinstance(obj, Var):
+        node = ["v", obj.name]
+    elif isinstance(obj, Numeral):
+        node = ["n", _encode_number(obj.value)]
+    elif isinstance(obj, SymNumeral):
+        node = ["sn", ref(obj.value)]
+    elif isinstance(obj, Lam):
+        node = ["l", obj.var, ref(obj.body)]
+    elif isinstance(obj, Fix):
+        node = ["fx", obj.fvar, obj.var, ref(obj.body)]
+    elif isinstance(obj, App):
+        node = ["@", ref(obj.fn), ref(obj.arg)]
+    elif isinstance(obj, If):
+        node = ["if", ref(obj.cond), ref(obj.then), ref(obj.orelse)]
+    elif isinstance(obj, Prim):
+        node = ["pr", obj.op, [ref(arg) for arg in obj.args]]
+    elif isinstance(obj, Sample):
+        node = ["smp"]
+    elif isinstance(obj, Score):
+        node = ["sc", ref(obj.arg)]
+    elif isinstance(obj, RecMarker):
+        node = ["mu"]
+    elif isinstance(obj, ConstVal):
+        node = ["c", _encode_number(obj.value)]
+    elif isinstance(obj, SampleVar):
+        node = ["s", obj.index]
+    elif isinstance(obj, ArgVal):
+        node = ["arg"]
+    elif isinstance(obj, StarVal):
+        node = ["*"]
+    elif isinstance(obj, PrimVal):
+        node = ["p", obj.op, [ref(arg) for arg in obj.args]]
+    else:
+        raise AssertionError(f"unencodable object {obj!r}")
+    table.add(obj, node)
+
+
+def _reference_encode_into(table, root):
+    work = [("visit", root)]
+    while work:
+        tag, obj = work.pop()
+        if tag == "assemble":
+            _reference_assemble(table, obj)
+            continue
+        if table.index_of(obj) is not None:
+            continue
+        children = _reference_children(obj)
+        if not children:
+            _reference_assemble(table, obj)
+            continue
+        work.append(("assemble", obj))
+        for child in reversed(children):
+            work.append(("visit", child))
+    return table.index_of(root)
+
+
+def _reference_encode_nodes(session_nodes):
+    table = _ReferenceTable()
+
+    def constraints(constraint_set):
+        return [
+            [constraint.relation.name, _reference_encode_into(table, constraint.value)]
+            for constraint in constraint_set
+        ]
+
+    records = []
+    for node in session_nodes:
+        bits = [1 if branch else 0 for branch in _node_branches(node)]
+        if node.state == _SUSPENDED:
+            configuration = node.configuration
+            payload = [
+                _reference_encode_into(table, configuration.term),
+                constraints(configuration.constraints),
+                configuration.next_variable,
+                configuration.steps,
+            ]
+        elif node.state == _TERMINATED:
+            path = node.path
+            payload = [
+                constraints(path.constraints),
+                path.num_variables,
+                path.steps,
+                _reference_encode_into(table, path.result),
+            ]
+        elif node.state == _STUCK:
+            payload = node.reason
+        else:
+            assert node.state == _BRANCHED
+            payload = None
+        records.append([bits, node.state, bool(node.started), payload])
+    return table.nodes, records
+
+
+def _reference_encode_session(session):
+    table, nodes = _reference_encode_nodes(node for _key, node in session._nodes)
+    return [
+        CODEC_VERSION,
+        session.max_paths,
+        session.max_steps,
+        list(session_counters(session)),
+        table,
+        nodes,
+    ]
+
+
+def _assert_same_bytes(encoded, expected):
+    """Equal ``json.dumps(..., sort_keys=True)``; a mismatch names its offset.
+
+    (The texts run to megabytes, too long for pytest's string diff.)
+    """
+    mine = json.dumps(encoded, sort_keys=True)
+    theirs = json.dumps(expected, sort_keys=True)
+    if mine != theirs:
+        at = next(
+            (i for i, pair in enumerate(zip(mine, theirs)) if pair[0] != pair[1]),
+            min(len(mine), len(theirs)),
+        )
+        pytest.fail(
+            f"encodings differ at offset {at} of {len(mine)}/{len(theirs)}: "
+            f"{mine[at - 30 : at + 30]!r} != {theirs[at - 30 : at + 30]!r}"
+        )
+
+
+@pytest.mark.parametrize("depth", [0, 10, 40, 60])
+@pytest.mark.parametrize("name", ["gr", "1dRW(1/2,1)", "sig-branch3(3/5)", "pedestrian"])
+def test_encoder_bytes_match_the_two_pass_reference(name, depth):
+    session = SymbolicExplorer().session(resolve_program(name).applied)
+    session.extend(depth)
+    _assert_same_bytes(encode_session(session), _reference_encode_session(session))
+    # Shards: contiguous frontier slices, each with its own table.
+    frontier = [node for _key, node in session._nodes if node.state == _SUSPENDED]
+    for shard_count in (1, 3):
+        shards = split_session(session, shard_count)
+        count = min(shard_count, len(frontier))
+        base, remainder = divmod(len(frontier), count) if count else (0, 0)
+        start = 0
+        assert len(shards) == count
+        for index, shard in enumerate(shards):
+            size = base + (1 if index < remainder else 0)
+            table, nodes = _reference_encode_nodes(frontier[start : start + size])
+            start += size
+            expected = [
+                CODEC_VERSION,
+                session.max_paths,
+                session.max_steps,
+                [0, 0, 0],
+                table,
+                nodes,
+            ]
+            _assert_same_bytes(shard, expected)
+
+
+def test_daemon_persisted_frontier_matches_the_two_pass_reference(tmp_path):
+    from repro.config import ReproConfig
+    from repro.service import AnalysisDaemon
+
+    daemon = AnalysisDaemon(config=ReproConfig(cache_dir=str(tmp_path)))
+    try:
+        for depth in (10, 20, 30, 40, 50):
+            asyncio.run(
+                daemon.dispatch(
+                    "lower-bound", {"program": "gr", "session": "s", "depth": depth}
+                )
+            )
+        exploration = daemon._sessions["s"][1].exploration
+        key = frontier_key(resolve_program("gr"), exploration.max_paths)
+        stored, _rows = frontier_entry_parts(
+            daemon.store.load_frontier_entry(daemon.engine, key)
+        )
+        assert exploration.max_steps == 50
+        _assert_same_bytes(stored, _reference_encode_session(exploration))
+    finally:
+        daemon.close()
+
+
+_NAMES = st.sampled_from(["x", "y", "phi", "f"])
+_NUMBERS = st.one_of(
+    st.fractions(max_denominator=50),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _shared_values(draw):
+    """Symbolic values built from a shared pool (so subvalues repeat by identity)."""
+    pool = [SampleVar(draw(st.integers(0, 3))), ArgVal(), StarVal()]
+    pool.append(ConstVal(draw(_NUMBERS)))
+    for _ in range(draw(st.integers(0, 12))):
+        arity = draw(st.integers(1, 3))
+        args = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+        pool.append(PrimVal(draw(st.sampled_from(["add", "mul", "neg"])), args))
+    return pool
+
+
+@st.composite
+def _shared_terms(draw):
+    """Terms over a shared pool, plus one chain hundreds of nodes deep."""
+    values = draw(_shared_values())
+    pool = [Var(draw(_NAMES)), Numeral(draw(_NUMBERS)), Sample(), RecMarker()]
+    pool.append(SymNumeral(draw(st.sampled_from(values))))
+
+    def pick():
+        return draw(st.sampled_from(pool))
+
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["app", "lam", "fix", "if", "prim", "score"]))
+        if kind == "app":
+            term = App(pick(), pick())
+        elif kind == "lam":
+            term = Lam(draw(_NAMES), pick())
+        elif kind == "fix":
+            term = Fix(draw(_NAMES), draw(_NAMES), pick())
+        elif kind == "if":
+            term = If(pick(), pick(), pick())
+        elif kind == "prim":
+            term = Prim("add", (pick(), pick()))
+        else:
+            term = Score(pick())
+        pool.append(term)
+    deep = pick()
+    for _ in range(draw(st.integers(0, 600))):
+        deep = App(deep, pick()) if draw(st.booleans()) else Lam("x", deep)
+    pool.append(deep)
+    return pool, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_terms(), st.data())
+def test_encoder_bytes_match_the_reference_on_generated_terms(terms_values, data):
+    terms, values = terms_values
+    nodes = []
+    for position in range(data.draw(st.integers(1, 6))):
+        branches = tuple(data.draw(st.lists(st.booleans(), max_size=4)))
+        branches = branches + (position % 2 == 0,) * (position + 1)
+        constraints = ConstraintSet(
+            Constraint(data.draw(st.sampled_from(values)), relation)
+            for relation in data.draw(st.lists(st.sampled_from(list(Relation)), max_size=3))
+        )
+        configuration = _Configuration(
+            data.draw(st.sampled_from(terms)), constraints, 0, position, branches
+        )
+        nodes.append(_SessionNode(_node_key(branches), configuration))
+    _assert_same_bytes(_encode_nodes(nodes), _reference_encode_nodes(nodes))
 
 
 def test_malformed_encodings_read_as_misses():

@@ -205,6 +205,19 @@ class TestCoalescing:
             )
 
 
+    def test_stats_report_the_collector_untouched_by_library_code(self):
+        """The ``gc`` object reads the collector; only ``python -m repro`` sets it."""
+        import gc
+
+        with in_process_daemon() as daemon:
+            stats = dispatch(daemon, "stats")["gc"]
+        assert stats["frozen"] == 0 == gc.get_freeze_count()
+        assert stats["threshold"] == list(gc.get_threshold())
+        assert [sorted(generation) for generation in stats["generations"]] == [
+            ["collected", "collections", "uncollectable"]
+        ] * len(gc.get_stats())
+
+
 class TestSessions:
     def test_named_session_deepens_across_requests(self):
         with in_process_daemon() as daemon:

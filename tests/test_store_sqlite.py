@@ -5,10 +5,18 @@ import json
 import sqlite3
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.batch import JobSpec, open_store, run_batch, run_job
 from repro.batch.doctor import diagnose
-from repro.batch.store_sqlite import SqliteStore, seal_document, sqlite_store_path
+from repro.batch.store_sqlite import (
+    SqliteStore,
+    _canonical,
+    _sealed_text,
+    seal_document,
+    sqlite_store_path,
+    verify_payload,
+)
 from repro.geometry.engine import MeasureEngine
 
 
@@ -457,3 +465,48 @@ class TestReadOnlyTolerance:
             assert connection.execute("SELECT COUNT(*) FROM jobs").fetchone() == (1,)
         finally:
             connection.close()
+
+
+# Payload strings that look like the envelope's own members.
+_TRICKY_TEXT = st.one_of(
+    st.sampled_from(['"sha256"', ',"version":', ',"version":2}', '"sha256":"x"', "}"]),
+    st.text(max_size=12),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        _TRICKY_TEXT,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_TRICKY_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestSealedText:
+    """The single-dump sealed row text equals sealing then dumping."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.one_of(st.sampled_from(["entry", "result", "sha256", "version", "zz"]),
+                      st.text(max_size=8)),
+            _JSON_VALUES,
+            max_size=3,
+        )
+    )
+    def test_matches_two_dump_sealing(self, document):
+        text = _sealed_text(document)
+        assert text == _canonical(seal_document(document))
+        assert verify_payload(json.loads(text))[0] == "ok"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_JSON_VALUES, st.sampled_from(["entry", "result"]))
+    def test_store_rows_match_two_dump_sealing(self, payload, key):
+        document = {key: payload}
+        assert _sealed_text(document) == _canonical(seal_document(document))
