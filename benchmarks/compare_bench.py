@@ -60,7 +60,6 @@ BENCH_FILES = (
     "BENCH_sweep.json",
     "BENCH_anytime.json",
     "BENCH_kernel.json",
-    "BENCH_dist.json",
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -409,21 +408,6 @@ def _anytime_metrics(baseline: dict, current: dict) -> List[Metric]:
             WALLCLOCK,
         )
     )
-    # Cross-referenced from the distributed bench; ``null`` on machines
-    # where a fleet could not fan out, so only gated when both sides
-    # recorded it (the BENCH_batch parallel-speedup convention).
-    baseline_speedup = _number(baseline.get("parallel_deepening_speedup"))
-    current_speedup = _number(current.get("parallel_deepening_speedup"))
-    if baseline_speedup is not None and current_speedup is not None:
-        metrics.append(
-            Metric(
-                "anytime: parallel deepening speedup",
-                baseline_speedup,
-                current_speedup,
-                HIGHER,
-                RATIO,
-            )
-        )
     return metrics
 
 
@@ -492,99 +476,12 @@ def _kernel_metrics(baseline: dict, current: dict) -> List[Metric]:
     return metrics
 
 
-def _dist_metrics(baseline: dict, current: dict) -> List[Metric]:
-    metrics = [
-        # Byte-identity and the resume counters are the correctness
-        # witnesses of distribution: they are machine-independent booleans
-        # and counters, so any worsening at all fails.
-        Metric(
-            "dist: byte-identical trajectory",
-            _number(baseline.get("byte_identical_trajectory")),
-            _number(current.get("byte_identical_trajectory")),
-            HIGHER,
-            COUNTER,
-        ),
-        Metric(
-            "dist: single-process symbolic steps",
-            _number(baseline.get("single_steps")),
-            _number(current.get("single_steps")),
-            LOWER,
-            COUNTER,
-        ),
-        Metric(
-            "dist: shards executed",
-            _number(baseline.get("shards_executed")),
-            _number(current.get("shards_executed")),
-            HIGHER,
-            COUNTER,
-        ),
-        Metric(
-            "dist: steps/sec (single)",
-            _number(baseline.get("steps_per_second_single")),
-            _number(current.get("steps_per_second_single")),
-            HIGHER,
-            WALLCLOCK,
-        ),
-        Metric(
-            "dist: steps/sec (fleet)",
-            _number(baseline.get("steps_per_second_fleet")),
-            _number(current.get("steps_per_second_fleet")),
-            HIGHER,
-            WALLCLOCK,
-        ),
-    ]
-    baseline_resume = baseline.get("resume") or {}
-    current_resume = current.get("resume") or {}
-    metrics.append(
-        Metric(
-            "dist: resumed paths after crash",
-            _number(baseline_resume.get("paths_resumed")),
-            _number(current_resume.get("paths_resumed")),
-            HIGHER,
-            COUNTER,
-        )
-    )
-    metrics.append(
-        Metric(
-            "dist: frontier restores on resume",
-            _number(baseline_resume.get("frontier_restores")),
-            _number(current_resume.get("frontier_restores")),
-            HIGHER,
-            COUNTER,
-        )
-    )
-    # The fleet-vs-single wall-clock ratio only means something when both
-    # sides had >= 2 cores to fan out over *and* both recorded the field
-    # (a 1-core emitter omits it): skipped otherwise, not missing.  The
-    # stolen-shard count is not gated at all -- under real concurrency it
-    # depends on scheduling, and byte-identity already covers correctness.
-    baseline_speedup = _number(baseline.get("parallel_deepening_speedup"))
-    current_speedup = _number(current.get("parallel_deepening_speedup"))
-    if (
-        _multicore(baseline)
-        and _multicore(current)
-        and baseline_speedup is not None
-        and current_speedup is not None
-    ):
-        metrics.append(
-            Metric(
-                "dist: parallel deepening speedup",
-                baseline_speedup,
-                current_speedup,
-                HIGHER,
-                RATIO,
-            )
-        )
-    return metrics
-
-
 METRIC_BUILDERS = {
     "BENCH_papprox.json": _papprox_metrics,
     "BENCH_batch.json": _batch_metrics,
     "BENCH_sweep.json": _sweep_metrics,
     "BENCH_anytime.json": _anytime_metrics,
     "BENCH_kernel.json": _kernel_metrics,
-    "BENCH_dist.json": _dist_metrics,
 }
 
 
@@ -656,7 +553,6 @@ HISTORY_METRICS = (
     ("BENCH_sweep.json", "aggregate_box_reduction", "sweep box reduction"),
     ("BENCH_anytime.json", "aggregate_step_reduction", "anytime step reduction"),
     ("BENCH_kernel.json", "engaged_kernel_speedup", "kernel speedup"),
-    ("BENCH_dist.json", "parallel_deepening_speedup", "dist deepening speedup"),
 )
 
 

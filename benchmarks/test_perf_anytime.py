@@ -48,27 +48,9 @@ from repro.lowerbound import LowerBoundEngine
 from repro.programs import anytime_programs, golden_ratio
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_anytime.json"
-_DIST_RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_dist.json"
 _STEP_REDUCTION_FLOOR = 3.0
 _BOX_REDUCTION_FLOOR = 2.0
 _SCHEDULE = tuple(range(34, 44))
-
-
-def _parallel_deepening_speedup():
-    """The fleet-vs-single ratio from a fresh distributed-bench run, if any.
-
-    ``test_perf_dist`` writes ``BENCH_dist.json`` next to this file's output;
-    the ``perf-trajectory`` job runs it first so the ratio lands here too.
-    On < 2-core machines (or when the dist bench did not run) the field is
-    absent there and recorded as ``null`` here -- ``compare_bench`` only
-    gates the ratio when both sides actually fanned out.
-    """
-    try:
-        doc = json.loads(_DIST_RESULT_PATH.read_text())
-    except (OSError, ValueError):
-        return None
-    value = doc.get("parallel_deepening_speedup")
-    return value if isinstance(value, (int, float)) else None
 
 
 def _workload():
@@ -228,7 +210,6 @@ def test_incremental_schedule_is_bit_identical_and_cuts_steps_and_boxes():
         )
         if incremental_seconds
         else None,
-        "parallel_deepening_speedup": _parallel_deepening_speedup(),
         "scratch_sweep_boxes_total": scratch_box_total,
         "incremental_sweep_boxes_total": incremental_box_total,
         "aggregate_box_reduction": round(box_reduction, 2),

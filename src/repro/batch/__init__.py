@@ -13,11 +13,10 @@ this subsystem makes that batch a first-class object:
   checksummed rows (damaged rows are quarantined, merges are transactions,
   GC is one indexed delete); :func:`~repro.batch.store_sqlite.open_store`
   opens it,
-* :mod:`repro.batch.distribute` -- distributed anytime deepening: a
-  store-persisted exploration frontier is split into per-subtree shards and
-  extended by a work-stealing fleet of ``explore-shard`` jobs, with
-  per-depth results byte-identical to a single process
-  (``--explore-jobs``),
+* :mod:`repro.batch.frontiers` -- persisted anytime schedules: one
+  program's exploration frontier is saved to the store after every depth,
+  so a rerun or a crashed run resumes it with per-depth results
+  byte-identical to an uninterrupted run,
 * :mod:`repro.batch.faults` -- deterministic fault injection (worker kills,
   hangs, torn writes, bit flips) driving the fault-tolerance test suite,
 * :mod:`repro.batch.doctor` -- the read-only store health checks behind
@@ -29,10 +28,10 @@ The CLI surface is ``python -m repro batch`` (see :mod:`repro.cli`);
 ``table1``/``table2``/``report`` delegate to the same runner.
 """
 
-from repro.batch.distribute import (
-    DistributedScheduleReport,
+from repro.batch.frontiers import (
+    PersistedScheduleReport,
     frontier_key,
-    run_distributed_schedule,
+    run_persisted_schedule,
 )
 from repro.batch.doctor import DoctorReport, Finding, diagnose
 from repro.batch.faults import Fault, FaultPlan
@@ -59,13 +58,13 @@ from repro.batch.suites import (
 __all__ = [
     "ANALYSES",
     "BatchReport",
-    "DistributedScheduleReport",
     "DoctorReport",
     "Fault",
     "FaultPlan",
     "Finding",
     "JobResult",
     "JobSpec",
+    "PersistedScheduleReport",
     "ResultScan",
     "RetryPolicy",
     "SUITE_NAMES",
@@ -77,8 +76,8 @@ __all__ = [
     "open_store",
     "read_result_keys",
     "run_batch",
-    "run_distributed_schedule",
     "run_job",
+    "run_persisted_schedule",
     "scan_results_jsonl",
     "suite",
     "table1_suite",

@@ -25,7 +25,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import repro.telemetry as telemetry
 from repro.geometry.engine import MeasureEngine
@@ -41,7 +41,6 @@ JOB_FORMAT_VERSION = 2
 ANALYSES: Tuple[str, ...] = (
     "lower-bound",
     "lower-bound-schedule",
-    "explore-shard",
     "verify",
     "classify",
     "estimate",
@@ -59,20 +58,6 @@ _DEFAULT_PARAMS: Dict[str, Dict[str, Any]] = {
         "max_paths": 100_000,
         "strategy": None,
         "target_gap": None,
-    },
-    # One worker slot of a distributed deepening (repro.batch.distribute):
-    # claims, extends and merges back frontier shards of ``frontier`` at
-    # ``depth``, preferring shard ``prefer`` and stealing the rest.  Shard
-    # jobs are never answered from the job cache (the runner gets
-    # ``cache=None``); their effect lives in the store's frontier entries.
-    "explore-shard": {
-        "frontier": None,
-        "depth": 50,
-        "shards": 1,
-        "prefer": 0,
-        "max_paths": 100_000,
-        "strategy": None,
-        "store_dir": None,
     },
     "verify": {"max_steps": 5_000},
     "classify": {"max_steps": 2_000},
@@ -107,6 +92,62 @@ def decode_number(encoded) -> Union[Fraction, float, None]:
     if isinstance(encoded, str):
         return Fraction(encoded)
     return float(encoded)
+
+
+def validate_schedule(schedule) -> List[int]:
+    """``schedule`` as a list of ints, if it is a valid anytime schedule:
+    non-empty, positive and non-decreasing (``ValueError`` otherwise)."""
+    depths = [int(depth) for depth in schedule]
+    if (
+        not depths
+        or depths[0] <= 0
+        or any(second < first for first, second in zip(depths, depths[1:]))
+    ):
+        raise ValueError(
+            "schedule must be a non-empty, non-decreasing list of "
+            f"positive depths, got {depths!r}"
+        )
+    return depths
+
+
+def trajectory_row(result) -> Dict[str, Any]:
+    """One anytime trajectory row: a lower-bound result at its depth.
+
+    The one encoding of a per-depth bound, shared by schedule jobs, persisted
+    frontiers and daemon sessions (rows of all three mix in the store).
+    """
+    return {
+        "depth": result.max_steps,
+        "probability": encode_number(result.probability),
+        "expected_steps": encode_number(result.expected_steps),
+        "measure_gap": encode_number(result.measure_gap),
+        "anytime_gap": encode_number(result.anytime_gap()),
+        "path_count": result.path_count,
+        "exhaustive": result.exhaustive,
+        "exact_measures": result.exact_measures,
+    }
+
+
+def schedule_payload(
+    schedule: List[int], trajectory: List[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """The ``lower-bound-schedule`` payload of a trajectory.
+
+    The final depth's fields are duplicated at the top level so the payload
+    is a drop-in superset of a plain lower-bound payload.
+    """
+    final = trajectory[-1]
+    return {
+        "schedule": list(schedule),
+        "depths_run": len(trajectory),
+        "trajectory": trajectory,
+        "probability": final["probability"],
+        "expected_steps": final["expected_steps"],
+        "measure_gap": final["measure_gap"],
+        "path_count": final["path_count"],
+        "exhaustive": final["exhaustive"],
+        "exact_measures": final["exact_measures"],
+    }
 
 
 @dataclass(frozen=True)
@@ -363,54 +404,18 @@ def _execute(spec: JobSpec, engine: MeasureEngine) -> Dict[str, Any]:
         strategy = program.strategy
         if params["strategy"] is not None:
             strategy = Strategy[params["strategy"]]
-        schedule = [int(depth) for depth in params["schedule"]]
-        if (
-            not schedule
-            or schedule[0] <= 0
-            or any(second < first for first, second in zip(schedule, schedule[1:]))
-        ):
-            raise ValueError(
-                "schedule must be a non-empty, non-decreasing list of "
-                f"positive depths, got {schedule!r}"
-            )
+        schedule = validate_schedule(params["schedule"])
         bound_engine = LowerBoundEngine(strategy=strategy, measure_engine=engine)
-        trajectory = []
-        for result in bound_engine.lower_bound_schedule(
-            program.applied,
-            schedule,
-            max_paths=params["max_paths"],
-            target_gap=decode_number(params["target_gap"]),
-        ):
-            trajectory.append(
-                {
-                    "depth": result.max_steps,
-                    "probability": encode_number(result.probability),
-                    "expected_steps": encode_number(result.expected_steps),
-                    "measure_gap": encode_number(result.measure_gap),
-                    "anytime_gap": encode_number(result.anytime_gap()),
-                    "path_count": result.path_count,
-                    "exhaustive": result.exhaustive,
-                    "exact_measures": result.exact_measures,
-                }
+        trajectory = [
+            trajectory_row(result)
+            for result in bound_engine.lower_bound_schedule(
+                program.applied,
+                schedule,
+                max_paths=params["max_paths"],
+                target_gap=decode_number(params["target_gap"]),
             )
-        final = trajectory[-1]
-        # The final depth's fields are duplicated at the top level so the
-        # payload is a drop-in superset of a plain lower-bound payload.
-        return {
-            "schedule": schedule,
-            "depths_run": len(trajectory),
-            "trajectory": trajectory,
-            "probability": final["probability"],
-            "expected_steps": final["expected_steps"],
-            "measure_gap": final["measure_gap"],
-            "path_count": final["path_count"],
-            "exhaustive": final["exhaustive"],
-            "exact_measures": final["exact_measures"],
-        }
-    if spec.analysis == "explore-shard":
-        from repro.batch.distribute import execute_shards
-
-        return execute_shards(program, params, engine)
+        ]
+        return schedule_payload(schedule, trajectory)
     if spec.analysis == "verify":
         from repro.astcheck import verify_ast
 

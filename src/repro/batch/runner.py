@@ -159,8 +159,8 @@ class BatchReport:
     worker_restarts: int = 0
     """Times the worker pool was torn down and rebuilt mid-batch."""
 
-    quarantined_shards: int = 0
-    """Damaged store files quarantined while this batch ran."""
+    quarantined_rows: int = 0
+    """Damaged store rows quarantined while this batch ran."""
 
     corrupt_result_lines: int = 0
     """Unparseable lines found in the output file's pre-run scan.
@@ -197,13 +197,8 @@ class BatchReport:
                 f"{self.timeouts} timeouts, "
                 f"{self.worker_restarts} worker restarts"
             )
-        if self.stats.shards_executed or self.stats.shards_stolen:
-            lines.append(
-                f"frontier shards  : {self.stats.shards_executed} executed, "
-                f"{self.stats.shards_stolen} stolen"
-            )
-        if self.quarantined_shards:
-            lines.append(f"quarantined files: {self.quarantined_shards}")
+        if self.quarantined_rows:
+            lines.append(f"quarantined rows : {self.quarantined_rows}")
         if self.corrupt_result_lines:
             lines.append(
                 f"corrupt results  : {self.corrupt_result_lines} unparseable "
@@ -407,10 +402,10 @@ def run_batch(
     merged_stats.retries += supervisor.retries
     merged_stats.timeouts += supervisor.timeouts
     merged_stats.worker_restarts += supervisor.worker_restarts
-    merged_stats.quarantined_shards += quarantined
+    merged_stats.quarantined_rows += quarantined
     if engine is not None and quarantined:
         # Inline runs report the caller's engine stats; keep them in step.
-        engine.stats.quarantined_shards += quarantined
+        engine.stats.quarantined_rows += quarantined
 
     elapsed = time.perf_counter() - started
     return BatchReport(
@@ -423,7 +418,7 @@ def run_batch(
         retries=supervisor.retries,
         timeouts=supervisor.timeouts,
         worker_restarts=supervisor.worker_restarts,
-        quarantined_shards=quarantined,
+        quarantined_rows=quarantined,
     )
 
 

@@ -125,15 +125,19 @@ def verify_payload(document) -> Tuple[str, Optional[dict]]:
     """Verify one parsed envelope, without side effects.
 
     Returns ``(status, document)`` where ``status`` is ``"ok"`` (current
-    version, checksum verified), ``"unknown-version"`` (left in place: a
-    newer tool may own it), or one of the *damaged* statuses
-    ``"not-object"``, ``"missing-checksum"`` and ``"checksum-mismatch"``;
-    the document is ``None`` unless the status is ``"ok"``.
+    version, checksum verified), ``"unknown-version"`` (another integer
+    version, left in place: a newer tool may own it), or one of the
+    *damaged* statuses ``"not-object"``, ``"missing-checksum"`` and
+    ``"checksum-mismatch"``; the document is ``None`` unless the status is
+    ``"ok"``.
     """
     if not isinstance(document, dict):
         return "not-object", None
-    if document.get("version") != CACHE_VERSION:
+    version = document.get("version")
+    if isinstance(version, int) and version != CACHE_VERSION:
         return "unknown-version", None
+    # A missing or non-integer version member is damage, not a foreign row
+    # (every version writes an integer one): the checksum below covers it.
     recorded = document.get("sha256")
     if not isinstance(recorded, str):
         return "missing-checksum", None
@@ -475,8 +479,8 @@ class SqliteStore:
     def load_frontiers(self, engine: MeasureEngine) -> Dict[str, List]:
         """The stored exploration-frontier entries compatible with ``engine``.
 
-        Values are the encoded frontier documents written by the distributed
-        deepening scheduler (see :mod:`repro.batch.distribute`); they are
+        Values are the encoded frontier documents written by persisted
+        schedules and daemon sessions (see :mod:`repro.batch.frontiers`); they are
         fingerprinted like sweep entries, since the symbolic steps a
         frontier froze depend on primitive semantics.
         """
@@ -488,10 +492,10 @@ class SqliteStore:
     def load_frontier_entry(self, engine: MeasureEngine, key: str):
         """One frontier entry by key (one indexed row read, not a kind scan).
 
-        The distributed-deepening hot path: workers poll individual shard
-        artifacts (``<master>:<depth>:<i>:in|out``) on every scan, far too
-        often to parse every frontier entry -- master encodings included --
-        per poll.  Returns ``None`` for a missing (or incompatible) key.
+        A resumed schedule or daemon session needs only its own program's
+        frontier; parsing every frontier entry of the store to find it would
+        cost the whole kind.  Returns ``None`` for a missing (or
+        incompatible) key.
         """
         fingerprint = engine.registry_fingerprint()
         row = self._connection.execute(

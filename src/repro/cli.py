@@ -191,28 +191,9 @@ def _print_stats(arguments: argparse.Namespace, engine: MeasureEngine) -> None:
     _print_perf_stats(arguments, engine.stats)
 
 
-def _warn_explore_jobs_unused(arguments: argparse.Namespace) -> None:
-    """``--explore-jobs`` only acts on a store-backed schedule; say so."""
-    if not getattr(arguments, "explore_jobs", None):
-        return
-    if arguments.explore_jobs > 1 and not getattr(arguments, "cache_dir", None):
-        print(
-            f"{arguments.command}: --explore-jobs needs --cache-dir (the "
-            "sharded frontier lives in the store); running single-process",
-            file=sys.stderr,
-        )
-    elif arguments.explore_jobs > 1 and not getattr(arguments, "schedule", None):
-        print(
-            f"{arguments.command}: --explore-jobs only distributes a "
-            "--schedule; running single-process",
-            file=sys.stderr,
-        )
-
-
 def _command_lower_bound(arguments: argparse.Namespace) -> int:
     if _target_gap_without_schedule(arguments):
         return 2
-    _warn_explore_jobs_unused(arguments)
     program = _resolve_program(arguments.program)
     telemetry.set_context(program=arguments.program)
     strategy = Strategy.CBV if arguments.cbv else program.strategy
@@ -227,10 +208,9 @@ def _command_lower_bound(arguments: argparse.Namespace) -> int:
         # under a budget-independent key after every depth, so a rerun (or a
         # crash) resumes the math -- already-reached depths replay from the
         # recorded trajectory, deeper ones continue stepping where the
-        # persisted budget stopped.  ``--explore-jobs N`` additionally
-        # shards each deepening across N supervised workers.  Either way
-        # every line is bit-identical to a from-scratch run at that depth.
-        from repro.batch.distribute import run_distributed_schedule
+        # persisted budget stopped.  Every line is bit-identical to a
+        # from-scratch run at that depth.
+        from repro.batch.frontiers import run_persisted_schedule
         from repro.batch.jobs import decode_number
 
         def on_depth(outcome) -> None:
@@ -245,17 +225,13 @@ def _command_lower_bound(arguments: argparse.Namespace) -> int:
                 f"({note})"
             )
 
-        report = run_distributed_schedule(
-            arguments.program,
+        report = run_persisted_schedule(
             program,
             arguments.schedule,
             store=config.open_store(),
             engine=measure_engine,
-            jobs=config.effective_explore_jobs(),
             strategy=strategy,
             target_gap=arguments.target_gap,
-            job_timeout=config.job_timeout,
-            retry_policy=config.retry_policy(),
             on_depth=on_depth,
         )
         elapsed = time.perf_counter() - start
@@ -272,10 +248,6 @@ def _command_lower_bound(arguments: argparse.Namespace) -> int:
         print(f"time         : {elapsed * 1000:.1f} ms")
         if report.resumed:
             print(f"resumed      : frontier restored at depth {report.restored_depth}")
-        if report.jobs > 1:
-            sharded = sum(outcome.shards for outcome in report.outcomes)
-            stolen = sum(outcome.stolen for outcome in report.outcomes)
-            print(f"workers      : {report.jobs} ({sharded} shards, {stolen} stolen)")
         _print_stats(arguments, measure_engine)
         return 0
     if arguments.schedule:
@@ -418,69 +390,13 @@ def _retry_policy(arguments: argparse.Namespace) -> Optional[RetryPolicy]:
     return _config(arguments).retry_policy()
 
 
-def _table1_distributed(
-    arguments: argparse.Namespace, schedule: Tuple[int, ...]
-) -> int:
-    """Anytime Table 1 where the *frontier*, not the program list, is the
-    unit of parallelism: one program at a time, each deepening sharded
-    across ``--explore-jobs`` workers over the store-persisted frontier.
-    Rows (and counters) are byte-identical to the single-process suite; a
-    rerun replays finished depths from the store instead of re-exploring."""
-    from repro.batch.distribute import run_distributed_schedule
-    from repro.batch.jobs import decode_number
-    from repro.batch.suites import schedule_suite
-
-    config = _config(arguments)
-    store = config.open_store()
-    engine = _measure_engine(arguments)
-    specs = schedule_suite(schedule, target_gap=arguments.target_gap)
-    print(f"{'term':16s} {'LB':>14s} {'paths':>7s} {'depth':>6s} {'time':>9s}")
-    failures = 0
-    for spec in specs:
-        try:
-            report = run_distributed_schedule(
-                spec.program,
-                spec.resolve(),
-                schedule,
-                store=store,
-                engine=engine,
-                jobs=config.effective_explore_jobs(),
-                max_paths=spec.canonical_params()["max_paths"],
-                target_gap=arguments.target_gap,
-                job_timeout=config.job_timeout,
-                retry_policy=config.retry_policy(),
-            )
-        except Exception as error:
-            print(f"{spec.program:16s} ERROR: {type(error).__name__}: {error}")
-            failures += 1
-            continue
-        rows = report.rows
-        for position, point in enumerate(rows):
-            probability = float(decode_number(point["probability"]))
-            elapsed = (
-                f"{report.elapsed_seconds * 1000:8.0f}ms"
-                if position == len(rows) - 1
-                else f"{'':10s}"
-            )
-            print(
-                f"{spec.program:16s} {probability:14.10f} "
-                f"{point['path_count']:7d} {point['depth']:6d} "
-                f"{elapsed}"
-            )
-    _print_perf_stats(arguments, engine.stats)
-    return 0 if failures == 0 else 1
-
-
 def _command_table1(arguments: argparse.Namespace) -> int:
     if _target_gap_without_schedule(arguments):
         return 2
-    _warn_explore_jobs_unused(arguments)
     from repro.batch.jobs import decode_number
     from repro.batch.suites import schedule_suite, table1_suite
 
     schedule = getattr(arguments, "schedule", None)
-    if schedule and _config(arguments).effective_explore_jobs() > 1:
-        return _table1_distributed(arguments, schedule)
     jobs = _batch_jobs(arguments)
     engine = _batch_engine(arguments, jobs)
     if schedule:
@@ -853,20 +769,6 @@ def _add_batch_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_explore_flags(subparser: argparse.ArgumentParser) -> None:
-    """``--explore-jobs``: distributed anytime deepening (lower-bound/table1)."""
-    subparser.add_argument(
-        "--explore-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard each --schedule deepening of the store-persisted "
-        "exploration frontier across N supervised worker processes with "
-        "work stealing (requires --cache-dir; per-depth bounds and "
-        "counters stay byte-identical to a single-process run)",
-    )
-
-
 def _add_fault_flags(subparser: argparse.ArgumentParser) -> None:
     """Fault-tolerance flags of the supervised pool (batch/table1/table2)."""
     subparser.add_argument(
@@ -995,8 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of re-exploring, surviving crashes and process "
         "boundaries",
     )
-    _add_fault_flags(lower)
-    _add_explore_flags(lower)
     _add_measure_flags(lower)
     _add_schedule_flags(lower)
     lower.set_defaults(handler=_command_lower_bound)
@@ -1031,7 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_batch_flags(table1)
     _add_fault_flags(table1)
     _add_schedule_flags(table1)
-    _add_explore_flags(table1)
     table1.set_defaults(handler=_command_table1)
 
     table2 = subparsers.add_parser("table2", help="regenerate Table 2 (AST verification)")

@@ -68,16 +68,6 @@ class ReproConfig:
     jobs: Optional[int] = None
     """``--jobs``: worker processes (None = the command's own default)."""
 
-    explore_jobs: Optional[int] = None
-    """``--explore-jobs``: workers for distributed anytime deepening.
-
-    ``> 1`` shards a store-persisted exploration frontier across the
-    supervised batch pool (``repro.batch.distribute``); requires
-    ``cache_dir`` (the frontier lives in the store).  ``None``/``1`` keeps
-    deepening single-process; either way the per-depth results are
-    byte-identical.
-    """
-
     cache_dir: Optional[str] = None
     """``--cache-dir``: the persistent store directory (None = no store)."""
 
@@ -131,7 +121,6 @@ class ReproConfig:
             schedule=tuple(schedule) if schedule else None,
             target_gap=flag("target_gap"),
             jobs=flag("jobs"),
-            explore_jobs=flag("explore_jobs"),
             cache_dir=flag("cache_dir"),
             job_timeout=flag("job_timeout"),
             max_retries=flag("max_retries"),
@@ -185,19 +174,6 @@ class ReproConfig:
         if self.nondefault_engine():
             return 1
         return max(1, jobs)
-
-    def effective_explore_jobs(self) -> int:
-        """Workers for distributed deepening (1 = single-process).
-
-        Forced to 1 without a store (the sharded frontier lives there) and
-        under any non-default engine knob, for the same reason
-        :meth:`effective_jobs` is: pool workers build default engines.
-        """
-        if self.explore_jobs is None or not self.cache_dir:
-            return 1
-        if self.nondefault_engine():
-            return 1
-        return max(1, self.explore_jobs)
 
     def retry_policy(self):
         """The retry policy the fault flags select (``None`` = defaults)."""

@@ -166,14 +166,6 @@ class PerfStats:
     uninterrupted ones).
     """
 
-    shards_executed: int = _counter("frontier shards executed")
-    """Frontier shards a distributed deepening extended to a deeper budget
-    (on workers or inline by the supervisor after exhausted retries)."""
-
-    shards_stolen: int = _counter("frontier shards stolen")
-    """Frontier shards claimed by a worker other than the one they were
-    assigned to -- the work-stealing half of the distributed scheduler."""
-
     polytope_calls: int = _counter("polytope invocations")
     """Invocations of the floating-point polytope volume oracle."""
 
@@ -187,7 +179,7 @@ class PerfStats:
     worker_restarts: int = _counter("worker restarts")
     """Worker-pool resurrections after a worker death or a hung job."""
 
-    quarantined_shards: int = _counter("quarantined files")
+    quarantined_rows: int = _counter("quarantined rows")
     """Damaged store rows moved into the store's ``quarantine`` table.
 
     Counts every row the persistent store refused to read -- torn JSON,

@@ -100,7 +100,7 @@ class LowerBoundSession:
     def exploration(self):
         """The underlying :class:`~repro.symbolic.execute.ExplorationSession`.
 
-        Exposed so the distributed scheduler can encode, split and absorb the
+        Exposed so persisted schedules and daemon sessions can encode the
         suspended frontier between extends.
         """
         return self._session

@@ -26,7 +26,7 @@ from repro.programs.library import (
 from repro.programs.extra import (
     anytime_programs,
     conditional_single_sample,
-    dist_programs,
+    deep_schedule_programs,
     exponential_step_walk,
     extra_programs,
     nested_recursion,
@@ -52,12 +52,12 @@ def _library():
         programs.setdefault(name, program)
     for name, program in extra_programs().items():
         programs.setdefault(name, program)
-    # The anytime and distributed workloads are resolvable by name but
+    # The anytime-schedule workloads are resolvable by name but
     # deliberately outside the registries that define the committed BENCH_*
     # baselines.
     for name, program in anytime_programs().items():
         programs.setdefault(name, program)
-    for name, program in dist_programs().items():
+    for name, program in deep_schedule_programs().items():
         programs.setdefault(name, program)
     return programs
 
@@ -101,7 +101,7 @@ __all__ = [
     "anytime_programs",
     "bin_walk",
     "conditional_single_sample",
-    "dist_programs",
+    "deep_schedule_programs",
     "exponential_step_walk",
     "extra_programs",
     "geometric",

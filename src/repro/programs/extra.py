@@ -30,7 +30,7 @@ Number = Union[Fraction, float, int]
 __all__ = [
     "anytime_programs",
     "conditional_single_sample",
-    "dist_programs",
+    "deep_schedule_programs",
     "exponential_step_walk",
     "extra_programs",
     "nested_recursion",
@@ -296,16 +296,14 @@ def sigmoid_tri_branching(
     ``q = p + (1-p) q**3`` (no closed form; computed by fixed-point
     iteration, which converges to the *least* solution from ``q = 0``).
     The frontier fans out a full generation wider per depth than the
-    rank-2 program, so per-subtree shards stay balanced enough for a
-    worker fleet to deepen them in parallel -- this is the distributed
-    anytime-deepening workload.
+    rank-2 program, which makes it the deep anytime-schedule workload.
 
     ``padding`` pads the guard's threshold with that many ``+ 0`` constant
     folds: every round burns the extra reduction steps *inside* its branch
     node while the folded constant leaves the path constraints (and hence
     every probability) untouched.  That shifts work from tree structure to
-    stepping -- the compute-bound regime where distributing the stepping
-    pays, without inflating the encoded frontier.
+    stepping -- a stepping-bound schedule, without inflating the encoded
+    frontier.
     """
     p = min(1.0, max(0.0, math.log(float(threshold) / (1 - float(threshold)))))
     q = 0.0
@@ -351,16 +349,15 @@ def anytime_programs() -> Dict[str, Program]:
     return {program.name: program for program in programs}
 
 
-def dist_programs() -> Dict[str, Program]:
-    """The distributed-deepening workload: rank-3 non-affine recursion.
+def deep_schedule_programs() -> Dict[str, Program]:
+    """The deep anytime-schedule workload: rank-3 non-affine recursion.
 
     Isolated from :func:`anytime_programs` for the same baseline-stability
     reason that registry is isolated from the rest -- ``BENCH_anytime``'s
-    committed counters must not move when the distributed benchmark grows
-    its own workload.  ``benchmarks/test_perf_dist.py`` (and the CLI,
-    through the main library) reach these by name.  The padded variant is
-    the benchmark workload proper: its guard padding makes each round
-    compute-bound, the regime a worker fleet actually accelerates.
+    committed counters must not move.  The CLI and the store-persisted
+    schedule tests reach these through the main library by name; the
+    padded variant is the stepping-bound schedule of the ``paper-cold``
+    perfbench workload (``perfbench/workloads.py``).
     """
     programs = (
         sigmoid_tri_branching(Fraction(3, 5)),

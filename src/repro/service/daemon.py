@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 import repro.telemetry as telemetry
-from repro.batch.jobs import ANALYSES, JobResult, JobSpec, run_job
+from repro.batch.jobs import ANALYSES, JobResult, JobSpec, run_job, trajectory_row
 from repro.config import ReproConfig
 from repro.geometry.engine import MeasureEngine
 from repro.service import protocol
@@ -418,26 +418,17 @@ class AnalysisDaemon:
         max_paths = params.get("max_paths", 200_000)
         loop = asyncio.get_running_loop()
         try:
-            result, session_depth = await loop.run_in_executor(
+            row, session_depth = await loop.run_in_executor(
                 self._executor,
                 lambda: self._extend_session(name, program, depth, max_paths),
             )
         except ValueError as error:
             raise ProtocolError(protocol.INVALID_PARAMS, str(error))
-        from repro.batch.jobs import encode_number
-
         return {
             "session": name,
             "program": program,
-            "depth": result.max_steps,
             "session_max_steps": session_depth,
-            "probability": encode_number(result.probability),
-            "expected_steps": encode_number(result.expected_steps),
-            "measure_gap": encode_number(result.measure_gap),
-            "anytime_gap": encode_number(result.anytime_gap()),
-            "path_count": result.path_count,
-            "exhaustive": result.exhaustive,
-            "exact_measures": result.exact_measures,
+            **row,
         }
 
     def _evict_sessions(self, keep: Optional[str] = None) -> None:
@@ -493,7 +484,7 @@ class AnalysisDaemon:
         """Write a session's encoded frontier + trajectory to the store."""
         if self.store is None:
             return
-        from repro.batch.distribute import frontier_entry, frontier_key
+        from repro.batch.frontiers import frontier_entry, frontier_key
         from repro.programs import resolve_program
         from repro.symbolic.codec import encode_session
 
@@ -523,7 +514,7 @@ class AnalysisDaemon:
         """
         if self.store is None:
             return None, {}
-        from repro.batch.distribute import frontier_entry_parts, frontier_key
+        from repro.batch.frontiers import frontier_entry_parts, frontier_key
         from repro.symbolic.codec import decode_session
 
         key = frontier_key(resolved, max_paths)
@@ -581,24 +572,12 @@ class AnalysisDaemon:
                 "budgets are non-decreasing"
             )
         self.counters.computations += 1
-        result = session.extend(depth)
-        from repro.batch.jobs import encode_number
-
-        rows[depth] = {
-            "depth": result.max_steps,
-            "probability": encode_number(result.probability),
-            "expected_steps": encode_number(result.expected_steps),
-            "measure_gap": encode_number(result.measure_gap),
-            "anytime_gap": encode_number(result.anytime_gap()),
-            "path_count": result.path_count,
-            "exhaustive": result.exhaustive,
-            "exact_measures": result.exact_measures,
-        }
+        row = rows[depth] = trajectory_row(session.extend(depth))
         self._persist_frontier(program, session, rows)
         self._session_touched[name] = time.monotonic()
         # A newly created session can push the population past the cap.
         self._evict_sessions(keep=name)
-        return result, session.max_steps
+        return row, session.max_steps
 
 
 # ---------------------------------------------------------------------------

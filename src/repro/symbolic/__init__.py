@@ -23,7 +23,6 @@ from repro.symbolic.values import (
 from repro.symbolic.constraints import Constraint, ConstraintSet, Relation
 from repro.symbolic.execute import (
     ExplorationSession,
-    FrontierCapError,
     SymbolicExplorer,
     SymbolicPath,
     ExplorationResult,
@@ -32,7 +31,6 @@ from repro.symbolic.codec import (
     decode_session,
     encode_session,
     session_counters,
-    split_session,
 )
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "ConstVal",
     "ExplorationResult",
     "ExplorationSession",
-    "FrontierCapError",
     "PrimVal",
     "Relation",
     "SampleVar",
@@ -56,5 +53,4 @@ __all__ = [
     "decode_session",
     "encode_session",
     "session_counters",
-    "split_session",
 ]

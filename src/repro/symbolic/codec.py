@@ -9,9 +9,7 @@ persist across sweep budgets.  This module provides that serialization:
 * :func:`encode_session` renders a session as a JSON-safe list;
 * :func:`decode_session` rebuilds an equivalent session, such that
   ``decode(encode(s)).extend(d)`` is bit-identical -- path list, order,
-  counts, statistics -- to ``s.extend(d)``;
-* :func:`split_session` / shard encodings let a scheduler partition a
-  suspended frontier into independently resumable sub-sessions.
+  counts, statistics -- to ``s.extend(d)``.
 
 Design notes (cited by ``docs/stores.md``):
 
@@ -87,7 +85,6 @@ __all__ = [
     "decode_session",
     "encode_session",
     "session_counters",
-    "split_session",
 ]
 
 
@@ -466,9 +463,9 @@ def encode_session(session: ExplorationSession) -> list:
 def session_counters(session: ExplorationSession) -> Tuple[int, int, int]:
     """The session's own ``(symbolic_steps, paths_resumed, frontier_peak)``.
 
-    These count only work *this* session performed (or absorbed from its
-    shards) -- the codec persists them so a restored session can credit them
-    forward, keeping resumed ``PerfStats`` equal to an uninterrupted run's.
+    These count only work *this* session performed -- the codec persists
+    them so a restored session can credit them forward, keeping resumed
+    ``PerfStats`` equal to an uninterrupted run's.
     """
     return (
         session._step_counter.symbolic_steps,
@@ -488,10 +485,9 @@ def decode_session(
     ``stats`` (typically the restoring engine's :class:`PerfStats`) is
     credited with the persisted counters, so the restored process reports
     the same totals an uninterrupted run would; pass ``credit_stats=False``
-    when the sink already counted that work (a same-process restore, or a
-    shard result whose counters :meth:`ExplorationSession.absorb` will
-    reconcile instead).  Returns ``None`` for anything malformed or written
-    by a different codec version.
+    when the sink already counted that work (a same-process restore) or
+    must not count it (a probe decode).  Returns ``None`` for anything
+    malformed or written by a different codec version.
     """
     try:
         if not isinstance(encoded, list) or len(encoded) != 6:
@@ -531,50 +527,3 @@ def decode_session(
         stats=stats,
         credit_stats=credit_stats,
     )
-
-
-# ---------------------------------------------------------------------------
-# Sharding: partition a suspended frontier into resumable sub-sessions.
-# ---------------------------------------------------------------------------
-
-
-def split_session(session: ExplorationSession, shard_count: int) -> List[list]:
-    """Partition the suspended frontier into up to ``shard_count`` encodings.
-
-    Each returned element encodes a standalone sub-session holding a
-    contiguous (in breadth-first key order) slice of the suspended nodes --
-    one subtree range of the frontier -- at the parent's budget and path
-    cap, with zeroed counters: extending a shard to a deeper budget performs
-    exactly the work the parent session would have spent on those nodes,
-    and the shard's counters afterwards report exactly that work.
-
-    Resolved history stays with the parent: shards are pure work units.
-    Returns fewer shards than asked when the frontier is smaller.
-    """
-    if shard_count < 1:
-        raise ValueError("shard_count must be at least 1")
-    frontier = [
-        (key, node) for key, node in session._nodes if node.state == _SUSPENDED
-    ]
-    if not frontier:
-        return []
-    shard_count = min(shard_count, len(frontier))
-    shards: List[list] = []
-    base, remainder = divmod(len(frontier), shard_count)
-    start = 0
-    for shard in range(shard_count):
-        size = base + (1 if shard < remainder else 0)
-        chunk = frontier[start : start + size]
-        start += size
-        table, encoded_nodes = _encode_nodes(node for _key, node in chunk)
-        shards.append(
-            [
-                CODEC_VERSION,
-                session.max_paths,
-                session.max_steps,
-                [0, 0, 0],
-                table,
-                encoded_nodes,
-            ]
-        )
-    return shards

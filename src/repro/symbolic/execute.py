@@ -321,16 +321,6 @@ class _StepCounter:
         self.symbolic_steps = 0
 
 
-class FrontierCapError(RuntimeError):
-    """Absorbing shard results would overrun the session's ``max_paths`` cap.
-
-    Shards each run under the full cap, so their union can exceed it -- a
-    single-process extend would instead have stopped early and left nodes
-    queued.  Callers catch this and fall back to extending the pre-split
-    session inline, which reproduces the capped result exactly.
-    """
-
-
 class _SessionNode:
     """One configuration of the branching tree, across every budget.
 
@@ -593,105 +583,6 @@ class ExplorationSession:
                 return result
             if budget >= max_steps:
                 return result
-
-    def absorb(self, shards: List["ExplorationSession"], depth: int) -> None:
-        """Merge shard sessions extended to ``depth`` back into this session.
-
-        The distributed scheduler splits this session's suspended frontier
-        into sub-sessions (:func:`repro.symbolic.codec.split_session`), has
-        workers extend each to ``depth``, and absorbs the results here.  The
-        merge is purely structural: shard node lists replace the suspended
-        nodes they descended from, keyed by the budget-independent
-        breadth-first keys, so the merged node list is exactly the one a
-        single-process ``extend(depth)`` would have produced.  Counters are
-        reconciled exactly:
-
-        * ``symbolic_steps`` / ``paths_resumed`` are summed from the shard
-          counters (both are per-node properties, independent of the global
-          pop interleaving);
-        * ``frontier_peak`` is recomputed by replaying the global pop order
-          (key order) over the merged nodes with their known final states --
-          the same ``live`` trajectory the single-process extend walks.
-
-        After absorbing, call ``extend(depth)``: every node replays in O(1)
-        (suspended nodes have no budget headroom left), rebuilding the
-        :class:`ExplorationResult` through the ordinary code path --
-        bit-identical to the single-process run.
-
-        Raises :class:`FrontierCapError` when the merged node count exceeds
-        ``max_paths`` (a single-process extend would have stopped early; the
-        caller must fall back to an inline extend) and :class:`ValueError`
-        when the shards do not exactly cover the suspended frontier.
-        """
-        if depth < self._max_steps:
-            raise ValueError(
-                f"exploration budgets are non-decreasing: asked for {depth} "
-                f"after {self._max_steps}"
-            )
-        history: dict = {}
-        frontier_keys = set()
-        for key, node in self._nodes:
-            if node.state == _SUSPENDED:
-                frontier_keys.add(key)
-            else:
-                history[key] = node
-        merged = dict(history)
-        shard_steps = 0
-        shard_resumed = 0
-        covered = set()
-        for shard in shards:
-            if shard.max_steps != depth:
-                raise ValueError(
-                    f"shard extended to {shard.max_steps}, expected {depth}"
-                )
-            shard_steps += shard._step_counter.symbolic_steps
-            shard_resumed += shard._counter_resumed
-            for key, node in shard._nodes:
-                if key in history:
-                    raise ValueError(
-                        f"shard node {key!r} collides with resolved history"
-                    )
-                if key in covered or (key in merged and key not in frontier_keys):
-                    raise ValueError(f"shards overlap on node {key!r}")
-                covered.add(key)
-                merged[key] = node
-        missing = frontier_keys - covered
-        if missing:
-            raise ValueError(
-                f"shards cover only {len(frontier_keys) - len(missing)} of "
-                f"{len(frontier_keys)} frontier nodes"
-            )
-        if len(merged) > self.max_paths:
-            raise FrontierCapError(
-                f"merged exploration has {len(merged)} nodes, "
-                f"max_paths is {self.max_paths}"
-            )
-        nodes = sorted(merged.items())
-        # Replay the global pop order with known final states to recover the
-        # exact ``live`` trajectory (see ``extend``): resolved history nodes
-        # replay, everything else was suspended when popped.
-        live = len(frontier_keys)
-        peak = live
-        for key, node in nodes:
-            if key in history:
-                continue
-            if node.state in (_TERMINATED, _STUCK):
-                live -= 1
-            elif node.state == _BRANCHED:
-                live += 1
-                if live > peak:
-                    peak = live
-        self._nodes = nodes
-        self._step_counter.symbolic_steps += shard_steps
-        self._counter_resumed += shard_resumed
-        if peak > self._counter_peak:
-            self._counter_peak = peak
-        stats = self.stats
-        if stats is not None:
-            stats.symbolic_steps += shard_steps
-            stats.paths_resumed += shard_resumed
-            if peak > stats.frontier_peak:
-                stats.frontier_peak = peak
 
 
 class SymbolicExplorer:

@@ -66,12 +66,6 @@ EVENT_KINDS = (
                            # persisted to the store)
     "frontier-resumed",    # {key, depth, nodes} (persisted frontier
                            # restored instead of re-exploring)
-    "shard-claimed",       # {key, shard, preferred} (worker claimed its
-                           # assigned frontier shard)
-    "shard-stolen",        # {key, shard, preferred} (idle worker stole an
-                           # unclaimed shard from another assignment)
-    "shard-completed",     # {key, shard, depth, steps} (shard extended and
-                           # its result merged back to the store)
 )
 
 _RESERVED = ("v", "ev", "t", "seq", "pid")
@@ -81,7 +75,7 @@ RECOVERY_EVENTS = {
     "job-retried": "retries",
     "job-timeout": "timeouts",
     "worker-restart": "worker_restarts",
-    "quarantine": "quarantined_shards",
+    "quarantine": "quarantined_rows",
 }
 
 

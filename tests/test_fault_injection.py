@@ -210,9 +210,9 @@ class TestStoreFaults:
         report = run_batch(
             [_specs()[1]], jobs=1, cache=open_store(cache_dir)
         )
-        assert report.quarantined_shards == 1
-        assert report.stats.quarantined_shards == report.quarantined_shards
-        assert "quarantined files" in report.summary()
+        assert report.quarantined_rows == 1
+        assert report.stats.quarantined_rows == report.quarantined_rows
+        assert "quarantined rows" in report.summary()
 
     def test_bit_flipped_shard_fails_its_checksum_and_doctor_names_it(
         self, tmp_path, monkeypatch

@@ -1,16 +1,13 @@
-"""Property and integration tests for persisted, sharded exploration frontiers.
+"""Property and integration tests for persisted exploration frontiers.
 
-The distributed-deepening invariants (see :mod:`repro.batch.distribute`):
+The persisted-schedule invariants (see :mod:`repro.batch.frontiers`):
 
 * the session codec is an exact inverse: ``decode(encode(s)).extend(d)`` is
   bit-identical -- result, order, counts, ``PerfStats`` -- to ``s.extend(d)``,
   for any program, suspension depth and deeper budget,
-* splitting a frontier into shards, extending the shards in *any* order
-  (the steal order) and absorbing them back reproduces the inline extend
-  bit for bit, for any shard count,
 * a crash between depths resumes from the store without re-executing any
-  completed symbolic step, and a worker never re-executes a shard whose
-  output is already merged,
+  completed symbolic step, and a daemon session evicted to the store is
+  adopted by a schedule over the same program,
 * frontier entries age and survive ``prune`` exactly like measure and
   sweep entries, and ``doctor`` audits their rows.
 """
@@ -23,17 +20,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.batch.distribute import (
-    _ShardClaims,
-    _claim_name,
-    execute_shards,
+from repro.batch.doctor import diagnose
+from repro.batch.frontiers import (
     frontier_entry,
     frontier_entry_parts,
     frontier_key,
-    run_distributed_schedule,
-    shard_entry_key,
+    run_persisted_schedule,
 )
-from repro.batch.doctor import diagnose
+from repro.batch.jobs import JobSpec, run_job
 from repro.batch.store_sqlite import open_store
 from repro.geometry.engine import MeasureEngine
 from repro.geometry.stats import PerfStats
@@ -53,7 +47,6 @@ from repro.symbolic.codec import (
     decode_session,
     encode_session,
     session_counters,
-    split_session,
 )
 from repro.symbolic.constraints import Constraint, ConstraintSet, Relation
 from repro.symbolic.execute import (
@@ -312,27 +305,6 @@ def test_encoder_bytes_match_the_two_pass_reference(name, depth):
     session = SymbolicExplorer().session(resolve_program(name).applied)
     session.extend(depth)
     _assert_same_bytes(encode_session(session), _reference_encode_session(session))
-    # Shards: contiguous frontier slices, each with its own table.
-    frontier = [node for _key, node in session._nodes if node.state == _SUSPENDED]
-    for shard_count in (1, 3):
-        shards = split_session(session, shard_count)
-        count = min(shard_count, len(frontier))
-        base, remainder = divmod(len(frontier), count) if count else (0, 0)
-        start = 0
-        assert len(shards) == count
-        for index, shard in enumerate(shards):
-            size = base + (1 if index < remainder else 0)
-            table, nodes = _reference_encode_nodes(frontier[start : start + size])
-            start += size
-            expected = [
-                CODEC_VERSION,
-                session.max_paths,
-                session.max_steps,
-                [0, 0, 0],
-                table,
-                nodes,
-            ]
-            _assert_same_bytes(shard, expected)
 
 
 def test_daemon_persisted_frontier_matches_the_two_pass_reference(tmp_path):
@@ -456,190 +428,112 @@ def test_frontier_key_is_budget_independent_but_pins_program_and_cap():
 
 
 # ---------------------------------------------------------------------------
-# Sharding: split + extend-in-any-order + absorb == inline extend.
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.sampled_from(["gr", "sig-branch3"]),
-    st.integers(min_value=1, max_value=9),
-    st.randoms(use_true_random=False),
-)
-def test_shard_split_and_absorb_are_bit_identical(name, shard_count, rng):
-    term = _PROGRAMS[name]
-    suspend_at, target = 20, 32
-    inline_stats = PerfStats()
-    inline = SymbolicExplorer(stats=inline_stats).session(term)
-    inline.extend(suspend_at)
-    reference = inline.extend(target)
-
-    master_stats = PerfStats()
-    master = SymbolicExplorer(stats=master_stats).session(term)
-    master.extend(suspend_at)
-    shards = split_session(master, shard_count)
-    assert 1 <= len(shards) <= min(shard_count, master.frontier_size)
-    order = list(range(len(shards)))
-    rng.shuffle(order)  # the steal order must not matter
-    decoded = [None] * len(shards)
-    for index in order:
-        shard = decode_session(
-            _roundtrip(shards[index]), SymbolicExplorer(), credit_stats=False
-        )
-        assert shard is not None
-        assert session_counters(shard) == (0, 0, 0)  # pure work units
-        assert shard.max_steps == suspend_at
-        shard.extend(target)
-        decoded[index] = shard
-    master.absorb(decoded, target)
-    assert master.extend(target) == reference
-    assert master_stats.symbolic_steps == inline_stats.symbolic_steps
-    assert master_stats.paths_resumed == inline_stats.paths_resumed
-    assert master_stats.frontier_peak == inline_stats.frontier_peak
-
-
-# ---------------------------------------------------------------------------
-# The worker loop: claims, stealing, and completed-output reuse.
-# ---------------------------------------------------------------------------
-
-
-def _seed_shards(store, engine, program, depth, target, shard_count):
-    """Persist a depth-``depth`` frontier and its ``:in`` shards for ``target``."""
-    key = frontier_key(program, 100_000)
-    run_distributed_schedule(
-        program.name,
-        program,
-        [depth],
-        store=store,
-        engine=engine,
-        jobs=1,
-        max_paths=100_000,
-    )
-    encoded, _rows = frontier_entry_parts(store.load_frontiers(engine)[key])
-    detached = SymbolicExplorer(program.strategy, engine.registry, stats=None)
-    master = decode_session(encoded, detached, credit_stats=False)
-    shards = split_session(master, shard_count)
-    store.merge_frontiers(
-        engine,
-        {
-            shard_entry_key(key, target, index, "in"): frontier_entry(shard, [])
-            for index, shard in enumerate(shards)
-        },
-    )
-    return key, shards
-
-
-def _shard_params(key, target, count, prefer, store):
-    return {
-        "frontier": key,
-        "depth": target,
-        "shards": count,
-        "prefer": prefer,
-        "max_paths": 100_000,
-        "strategy": None,
-        "store_dir": str(store.directory),
-    }
-
-
-def test_workers_skip_shards_whose_output_is_already_merged(tmp_path):
-    program = resolve_program("sig-branch(3/5)")
-    engine = MeasureEngine()
-    store = open_store(tmp_path)
-    key, shards = _seed_shards(store, engine, program, 10, 25, 2)
-    assert len(shards) == 2
-    # A previous fleet completed shard 0 before dying: its output is merged.
-    detached = SymbolicExplorer(program.strategy, engine.registry, stats=None)
-    done = decode_session(shards[0], detached, credit_stats=False)
-    done.extend(25)
-    store.merge_frontiers(
-        engine,
-        {shard_entry_key(key, 25, 0, "out"): frontier_entry(encode_session(done), [])},
-    )
-    worker = MeasureEngine()
-    payload = execute_shards(program, _shard_params(key, 25, 2, 0, store), worker)
-    # The completed shard is never re-executed; the surviving one is picked
-    # up as a steal (this worker's preferred shard was the finished one).
-    assert payload["executed"] == [1]
-    assert payload["stolen"] == [1]
-    assert worker.stats.shards_executed == 1
-    assert worker.stats.shards_stolen == 1
-    assert shard_entry_key(key, 25, 1, "out") in store.load_frontiers(worker)
-
-
-def test_workers_respect_a_live_claim_and_steal_once_it_releases(tmp_path):
-    pytest.importorskip("fcntl")
-    program = resolve_program("sig-branch(3/5)")
-    engine = MeasureEngine()
-    store = open_store(tmp_path)
-    key, shards = _seed_shards(store, engine, program, 10, 25, 2)
-    holder = _ShardClaims(store.directory)
-    assert holder.try_claim(_claim_name(key, 25, 1))
-    try:
-        worker = MeasureEngine()
-        payload = execute_shards(program, _shard_params(key, 25, 2, 0, store), worker)
-        # Shard 1 is busy under a live claim: only shard 0 runs.
-        assert payload["executed"] == [0]
-    finally:
-        holder.release_all()
-    worker = MeasureEngine()
-    payload = execute_shards(program, _shard_params(key, 25, 2, 0, store), worker)
-    assert payload["executed"] == [1]
-    assert payload["stolen"] == [1]
-
-
-# ---------------------------------------------------------------------------
 # End to end: byte-identity and crash-resume through the store.
 # ---------------------------------------------------------------------------
 
 
-def test_distributed_schedule_is_bit_identical_and_crash_resumable(tmp_path):
+def _schedule(program, schedule, store, engine=None):
+    return run_persisted_schedule(
+        program,
+        schedule,
+        store=store,
+        engine=engine or MeasureEngine(),
+        max_paths=100_000,
+    )
+
+
+def test_persisted_schedule_is_bit_identical_and_crash_resumable(tmp_path):
     program = resolve_program("sig-branch(3/5)")
     schedule = [10, 25, 40]
     reference_engine = MeasureEngine()
-    reference = run_distributed_schedule(
-        "sig-branch(3/5)",
-        program,
-        schedule,
-        store=open_store(tmp_path / "reference"),
-        engine=reference_engine,
-        jobs=1,
-        max_paths=100_000,
+    reference = _schedule(
+        program, schedule, open_store(tmp_path / "reference"), reference_engine
     )
     reference_payload = json.dumps(reference.payload(), sort_keys=True)
-
-    # A fleet run that "crashes" after the second depth...
-    fleet_dir = tmp_path / "fleet"
-    run_distributed_schedule(
-        "sig-branch(3/5)",
-        program,
-        schedule[:2],
-        store=open_store(fleet_dir),
-        engine=MeasureEngine(),
-        jobs=2,
-        max_paths=100_000,
+    # The persisted schedule's payload is exactly the schedule job's.
+    job = run_job(
+        JobSpec(
+            program="sig-branch(3/5)",
+            analysis="lower-bound-schedule",
+            params={"schedule": schedule},
+        )
     )
+    assert json.dumps(job.payload, sort_keys=True) == reference_payload
+
+    # A run that "crashes" after the second depth...
+    resume_dir = tmp_path / "resume"
+    _schedule(program, schedule[:2], open_store(resume_dir))
     # ... and a fresh process that resumes the full schedule.
     resumed_engine = MeasureEngine()
-    resumed = run_distributed_schedule(
-        "sig-branch(3/5)",
-        program,
-        schedule,
-        store=open_store(fleet_dir),
-        engine=resumed_engine,
-        jobs=2,
-        max_paths=100_000,
-    )
+    resumed = _schedule(program, schedule, open_store(resume_dir), resumed_engine)
     assert resumed.resumed
     assert resumed.restored_depth == 25
     assert [outcome.replayed for outcome in resumed.outcomes] == [True, True, False]
     assert json.dumps(resumed.payload(), sort_keys=True) == reference_payload
     # No completed step re-executes, and the resumed process reports the
-    # same PerfStats as the uninterrupted single-process run.
+    # same PerfStats as the uninterrupted run.
     assert resumed_engine.stats.symbolic_steps == reference_engine.stats.symbolic_steps
     assert resumed_engine.stats.paths_resumed == reference_engine.stats.paths_resumed
     assert resumed_engine.stats.frontier_peak == reference_engine.stats.frontier_peak
     assert resumed_engine.stats.paths_resumed > 0
     assert resumed_engine.stats.frontier_restores == 1
+
+
+def test_schedule_adopts_a_session_the_daemon_evicted(tmp_path):
+    from repro.config import ReproConfig
+    from repro.service import AnalysisDaemon
+
+    program = resolve_program("sig-branch(3/5)")
+    daemon = AnalysisDaemon(
+        config=ReproConfig(cache_dir=str(tmp_path / "store"), max_sessions=1)
+    )
+    try:
+        replies = [
+            asyncio.run(
+                daemon.dispatch(
+                    "lower-bound",
+                    {
+                        "program": "sig-branch(3/5)",
+                        "session": "s1",
+                        "depth": depth,
+                        "max_paths": 200_000,
+                    },
+                )
+            )
+            for depth in (10, 25)
+        ]
+        # A second session past --max-sessions 1 evicts the first to the store.
+        asyncio.run(
+            daemon.dispatch("lower-bound", {"program": "geo(1/2)", "session": "s2"})
+        )
+        assert daemon.counters.sessions_evicted == 1
+        assert "s1" not in daemon._sessions
+
+        report = run_persisted_schedule(
+            program,
+            [10, 25, 40],
+            store=open_store(tmp_path / "store"),
+            engine=MeasureEngine(),
+            max_paths=200_000,
+        )
+    finally:
+        daemon.close()
+    assert report.resumed
+    assert report.restored_depth == 25
+    assert [outcome.replayed for outcome in report.outcomes] == [True, True, False]
+    session_fields = ("session", "program", "session_max_steps")
+    assert report.rows[:2] == [
+        {name: value for name, value in reply.items() if name not in session_fields}
+        for reply in replies
+    ]
+    uninterrupted = run_persisted_schedule(
+        program,
+        [10, 25, 40],
+        store=open_store(tmp_path / "fresh"),
+        engine=MeasureEngine(),
+        max_paths=200_000,
+    )
+    assert report.payload() == uninterrupted.payload()
 
 
 # ---------------------------------------------------------------------------

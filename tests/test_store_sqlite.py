@@ -510,3 +510,15 @@ class TestSealedText:
     def test_store_rows_match_two_dump_sealing(self, payload, key):
         document = {key: payload}
         assert _sealed_text(document) == _canonical(seal_document(document))
+
+
+class TestEnvelopeVersion:
+    """A mangled version member is damage, not another version's row."""
+
+    def test_flipped_version_key_is_a_checksum_mismatch(self):
+        sealed = seal_document({"entry": [1, 2]})
+        mangled = {
+            ("vgrsion" if name == "version" else name): value
+            for name, value in sealed.items()
+        }
+        assert verify_payload(mangled)[0] == "checksum-mismatch"
